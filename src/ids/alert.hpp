@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,18 @@ struct Alert {
 // Receives alerts as the engine produces them.  Decouples alert delivery
 // from storage so embedders (the pipeline workers, log shippers) can route
 // alerts without an intermediate vector per inspect call.
+//
+// The batched path (IdsEngine::flush_batch) delivers one span per rule group
+// per flush through on_alerts; inspect() delivers alert by alert through
+// on_alert.  The default on_alerts loops over on_alert, so a sink only needs
+// the batch override when a delivery has a per-call cost worth amortising
+// (a lock, a write).  The span is valid for the call only.
 class AlertSink {
  public:
   virtual void on_alert(const Alert& alert) = 0;
+  virtual void on_alerts(std::span<const Alert> alerts) {
+    for (const Alert& a : alerts) on_alert(a);
+  }
 
  protected:
   ~AlertSink() = default;

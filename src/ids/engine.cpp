@@ -228,44 +228,48 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     }
     const std::vector<util::ByteView>& scan_views = engaged ? g.passed_views : g.views;
 
+    // Alerts collect in alerts_ and reach the sink as ONE delivery per group
+    // once the scan is done, so a sink's per-call cost (lock, write) is paid
+    // per flush rather than per match.
     struct BatchToAlert final : BatchSink {
       const IdsEngine* self = nullptr;
-      AlertSink* out = nullptr;
+      std::vector<Alert>* out = nullptr;
       // Maps a scanned-batch packet index back to pending_ (the screened-in
       // subsequence when the prefilter is engaged, all staged views
       // otherwise).
       const std::uint32_t* to_staged = nullptr;
       pattern::Group group{};
-      std::uint64_t emitted = 0;
       void on_match(std::uint32_t packet, const Match& m) override {
         const Staged& s = self->pending_[to_staged[packet]];
         if (s.flow->scanner.already_reported(m, s.carry)) return;
-        out->on_alert(Alert{s.flow_id, self->rules_->master_id(group, m.pattern_id),
-                            s.base + m.pos, group, self->rules_->generation()});
-        ++emitted;
+        out->push_back(Alert{s.flow_id, self->rules_->master_id(group, m.pattern_id),
+                             s.base + m.pos, group, self->rules_->generation()});
       }
     } sink;
     sink.self = this;
-    sink.out = &out;
+    sink.out = &alerts_;
     sink.to_staged = engaged ? g.passed_staged.data() : g.staged_index.data();
     sink.group = group;
 
+    alerts_.clear();
     if (!scan_views.empty()) {
       rules_->matcher_for(group).scan_batch(scan_views, sink, scratch_[gi]);
     }
-    counters_.alerts += sink.emitted;
+    const std::uint64_t emitted = alerts_.size();
+    counters_.alerts += emitted;
     if (telemetry::Counter* c = telemetry_.group_scan_bytes[gi]; c != nullptr) {
       std::uint64_t bytes = 0;
       for (const util::ByteView& v : scan_views) bytes += v.size();
       c->add(bytes);
     }
     if (telemetry::Counter* c = telemetry_.group_alerts[gi]; c != nullptr) {
-      c->add(sink.emitted);
+      c->add(emitted);
     }
     g.views.clear();
     g.staged_index.clear();
     g.passed_views.clear();
     g.passed_staged.clear();
+    if (!alerts_.empty()) out.on_alerts(alerts_);
   }
 
   for (Staged& s : pending_) {

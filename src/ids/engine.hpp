@@ -90,7 +90,8 @@ class IdsEngine {
   std::uint64_t generation() const { return rules_->generation(); }
 
   // Inspects the next payload chunk of `flow_id` (protocol fixed per flow at
-  // first sight); delivers alerts to `sink` as they are found.
+  // first sight); delivers alerts to `sink` one on_alert call per alert, as
+  // they are found.
   void inspect(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
                AlertSink& sink);
 
@@ -108,15 +109,18 @@ class IdsEngine {
   // steady-state heap allocations, and each group's filter structures stay
   // cache-resident across the whole batch.  Alert multiset per chunk is
   // identical to inspect(); alert ORDER within a batch is engine-specific.
+  // Alerts are not delivered as they are found: each rule group's alerts
+  // reach the sink as ONE on_alerts call once that group's scan_batch is
+  // done, so a flush makes at most one delivery per group.
   // If `flow_id` already has a staged chunk, stage() flushes first so
   // per-flow stream order is preserved (hence the sink parameter).  `chunk`
   // need only stay valid for the stage() call itself.
   //
-  // Sink reentrancy: an AlertSink::on_alert callback may call close_flow()
-  // (teardown-on-alert; deferred until the live scan — flush_batch or
-  // inspect's feed — completes) but must NOT call stage()/inspect()/
-  // flush_batch() on this engine: the batch being scanned cannot be
-  // mutated mid-flush.
+  // Sink reentrancy: an AlertSink callback (on_alert / on_alerts) may call
+  // close_flow() (teardown-on-alert; deferred until the live scan —
+  // flush_batch or inspect's feed — completes) but must NOT call stage()/
+  // inspect()/flush_batch() on this engine: the batch being scanned cannot
+  // be mutated mid-flush.
   void stage(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
              AlertSink& sink);
   void flush_batch(AlertSink& sink);
@@ -193,6 +197,9 @@ class IdsEngine {
   // slot every flush (the slot is keyed per owner).
   std::array<ScanScratch, kGroups> pf_scratch_;
   std::vector<std::uint8_t> verdicts_;
+  // One rule group's alerts of the flush in progress, handed to the sink in
+  // a single on_alerts call after that group's scan.
+  std::vector<Alert> alerts_;
   core::PrefilterMode prefilter_mode_ = core::PrefilterMode::automatic;
   // PrefilterMode::automatic adaptive bypass: sample the screen's pass ratio
   // over windows of kPrefilterSampleWindow payloads; when a window passes

@@ -112,10 +112,11 @@ struct PipelineConfig {
   std::uint64_t watchdog_interval_ms = 0;
   unsigned watchdog_stall_intervals = 5;
 
-  // Alert-sink containment: after this many CONSECUTIVE delivery failures
-  // (exceptions from cfg.alert_sink) the worker quarantines the sink —
-  // further alerts are counted and dropped instead of risking a wedged or
-  // crashing engine.  One successful delivery resets the streak.
+  // Alert-sink containment: after this many CONSECUTIVE failed deliveries
+  // (one per flush batch and rule group; a delivery fails when
+  // cfg.alert_sink throws) the worker quarantines the sink — further alerts
+  // are counted and dropped instead of risking a wedged or crashing engine.
+  // One successful delivery resets the streak.
   unsigned sink_quarantine_after = 8;
 
   // Optional live alert delivery.  Called from worker threads concurrently;

@@ -12,16 +12,18 @@
 
 namespace vpm::pipeline {
 
-void GuardedSink::on_alert(const ids::Alert& alert) {
+void GuardedSink::on_alert(const ids::Alert& alert) { on_alerts({&alert, 1}); }
+
+void GuardedSink::on_alerts(std::span<const ids::Alert> alerts) {
   if (quarantined_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    dropped_.fetch_add(alerts.size(), std::memory_order_relaxed);
     return;
   }
   try {
     if (util::failpoint::should_fail(util::failpoint::Site::alert_sink_write)) {
       throw std::runtime_error("injected alert-sink failure (failpoint)");
     }
-    inner_->on_alert(alert);
+    inner_->on_alerts(alerts);
     consecutive_ = 0;
   } catch (...) {
     errors_.fetch_add(1, std::memory_order_relaxed);

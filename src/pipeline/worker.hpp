@@ -84,11 +84,14 @@ class RulesChannel {
 
 // Exception containment between the engine and a user-supplied alert sink.
 // A sink that throws must not take the worker (and with it the whole
-// pipeline) down: each failure is counted, and after quarantine_after
-// CONSECUTIVE failures the sink is quarantined — alerts are counted and
-// dropped instead of retried forever.  One successful delivery resets the
-// streak.  on_alert runs only on the owning worker's thread; the counters
-// are atomics so stats() can read them from anywhere.
+// pipeline) down.  The unit is the DELIVERY: one on_alerts call (one rule
+// group of one flush batch) or one on_alert call.  A delivery that throws
+// counts one error, and after quarantine_after CONSECUTIVE failed
+// deliveries the sink is quarantined — alerts are counted (every alert of
+// a swallowed delivery) and dropped instead of retried forever.  One
+// successful delivery resets the streak.  Deliveries run only on the owning
+// worker's thread; the counters are atomics so stats() can read them from
+// anywhere.
 class GuardedSink final : public ids::AlertSink {
  public:
   GuardedSink(ids::AlertSink* inner, unsigned quarantine_after)
@@ -96,6 +99,7 @@ class GuardedSink final : public ids::AlertSink {
         quarantine_after_(quarantine_after == 0 ? 1 : quarantine_after) {}
 
   void on_alert(const ids::Alert& alert) override;
+  void on_alerts(std::span<const ids::Alert> alerts) override;
 
   std::uint64_t errors() const { return errors_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }

@@ -27,4 +27,21 @@ void json_escape(std::string_view s, std::string& out) {
   }
 }
 
+char* json_escape_printable(util::ByteView bytes, char* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const std::uint8_t c : bytes) {
+    if (c >= 0x20 && c < 0x7F && c != '\\') {
+      if (c == '"') *out++ = '\\';
+      *out++ = static_cast<char>(c);
+    } else {
+      *out++ = '\\';
+      *out++ = '\\';
+      *out++ = 'x';
+      *out++ = kHex[c >> 4];
+      *out++ = kHex[c & 0xF];
+    }
+  }
+  return out;
+}
+
 }  // namespace vpm::telemetry

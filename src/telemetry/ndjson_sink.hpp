@@ -11,19 +11,28 @@
 //   {"ts_us":…, "flow":…, "src_ip":"a.b.c.d", "src_port":…, "dst_ip":…,
 //    "dst_port":…, "proto":"tcp|udp", "dir":"c2s|s2c", "group":"http",
 //    "pattern":…, "offset":…, "generation":…, "match":"…"}
-// "match" (the pattern's printable text, JSON-escaped centrally through
-// telemetry::json_escape) appears only when a PatternSet was provided.
+// "ts_us" is the wall clock read once per DELIVERY (one on_alerts call, i.e.
+// one rule group of one flush batch), so the lines of a delivery share it.
+// "match" (the pattern's printable text, JSON-escaped straight from the
+// pattern bytes by telemetry::json_escape_printable — the same bytes as
+// json_escape(Pattern::printable())) appears only when a PatternSet was
+// provided and holds the alert's pattern id.
 //
-// Thread-safe: on_alert takes one mutex around format+write+forward, so the
-// pipeline's workers can share one sink and an optional downstream sink
-// (e.g. an AlertBuffer for the end-of-run report) is serialized through the
-// same lock.  The alert path is orders of magnitude colder than the scan
-// path; a mutex is the honest tool.
+// Thread-safe, and built for the pipeline's workers sharing one sink: web
+// rulesets raise thousands of alerts per scanned megabyte, so a lock per
+// alert would serialise the workers.  on_alerts formats every line
+// of a delivery into a per-thread buffer OUTSIDE the write lock (flow
+// lookups under a shared lock that only register_flow takes exclusively),
+// then takes the write lock once for one fwrite plus the forward to the
+// downstream sink (e.g. an AlertBuffer for the end-of-run report), which is
+// thus serialized.  on_alert is a one-alert delivery through the same path.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -50,11 +59,12 @@ class NdjsonAlertSink final : public ids::AlertSink {
 
   // Associates a DIRECTIONAL flow id (pipeline::flow_key(tuple)) with its
   // tuple.  Idempotent; later registrations of the same id are ignored.
-  // Call from any thread (takes the sink lock).
+  // Call from any thread (the only writer of the flow map).
   void register_flow(std::uint64_t flow_id, const net::FiveTuple& tuple,
                      net::Direction dir);
 
   void on_alert(const ids::Alert& alert) override;
+  void on_alerts(std::span<const ids::Alert> alerts) override;
 
   // Flushes buffered lines to the underlying stream.
   void flush();
@@ -72,15 +82,14 @@ class NdjsonAlertSink final : public ids::AlertSink {
     net::Direction dir;
   };
 
-  void append_line(const ids::Alert& alert);
-
+  // Guards the stream, the forward and the counters below it.
   mutable std::mutex mutex_;
   std::FILE* out_;
   bool owns_stream_;
   const pattern::PatternSet* patterns_;
   ids::AlertSink* forward_;
+  mutable std::shared_mutex flows_mutex_;
   std::unordered_map<std::uint64_t, FlowInfo> flows_;
-  std::string line_;  // reused per alert
   std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;  // lines lost to failed writes
   bool write_error_ = false;

@@ -6,10 +6,13 @@
 // pipeline worker's scan loop relies on under sustained small-packet load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/ndjson_sink.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
@@ -80,7 +84,12 @@ struct CountingBatchSink final : BatchSink {
 
 struct CountingAlertSink final : ids::AlertSink {
   std::uint64_t alerts = 0;
+  std::size_t largest_delivery = 0;
   void on_alert(const ids::Alert&) override { ++alerts; }
+  void on_alerts(std::span<const ids::Alert> batch) override {
+    alerts += batch.size();
+    largest_delivery = std::max(largest_delivery, batch.size());
+  }
 };
 
 // Matcher-level: scan_batch with a reused scratch, batch size churning
@@ -151,15 +160,81 @@ TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
     }
     engine.flush_batch(sink);
   };
+  // Alert-heavy rounds pin the engine's per-group alert buffer: six more
+  // flows each take 3000 bytes of one 500-byte stretch of the pool repeated,
+  // so after their first round every such round sees the same stream and
+  // raises the same alerts — the buffer's high-water mark, well above the
+  // churny rounds' (at most 2200 bytes per group).
+  util::Bytes periodic;
+  for (int i = 0; i < 6; ++i) periodic.insert(periodic.end(), pool.begin(), pool.begin() + 500);
+  const auto drive_dense = [&] {
+    for (std::uint64_t flow = 100; flow < 106; ++flow) {
+      engine.stage(flow, groups[flow % std::size(groups)], periodic, sink);
+    }
+    engine.flush_batch(sink);
+  };
 
   for (int round = 0; round < 10; ++round) drive(round);  // warm-up
+  drive_dense();
+  drive_dense();
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int round = 0; round < 50; ++round) drive(round);
+  for (int round = 0; round < 50; ++round) {
+    drive(round);
+    if (round % 5 == 0) drive_dense();
+  }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "engine batch loop allocated in steady state ("
                            << seed_note() << ")";
   EXPECT_GT(sink.alerts, 0u) << "workload must produce alerts to be meaningful";
+  EXPECT_GT(sink.largest_delivery, 100u) << "the dense rounds must fill the alert buffer";
+}
+
+// A flush-batch delivery into the NDJSON sink — per-thread line buffer,
+// integer formatting, match-text escaping, flow lookup, one write, forward
+// — allocates nothing once the line buffer reached its high-water mark.
+TEST(AllocTest, NdjsonSinkBatchDeliveryIsAllocationFree) {
+  // A stream that accepts and discards every byte.
+  cookie_io_functions_t discard{};
+  discard.write = [](void*, const char*, std::size_t n) -> ssize_t {
+    return static_cast<ssize_t>(n);
+  };
+  std::FILE* null = fopencookie(nullptr, "w", discard);
+  ASSERT_NE(null, nullptr);
+
+  const auto rules = testutil::random_set(200, 12, case_seed(305), 256);
+  std::vector<ids::Alert> alerts;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    alerts.push_back({i % 16, static_cast<std::uint32_t>((i * 37) % (rules.size() + 8)),
+                      std::uint64_t{1} << (i % 64), pattern::Group::http, i});
+  }
+  CountingAlertSink forward;
+  {
+    telemetry::NdjsonAlertSink sink(null, &rules, &forward);
+    net::FiveTuple tuple;
+    tuple.src_ip = 0xC0A80101;
+    tuple.dst_ip = 0x0A000001;
+    tuple.src_port = 65535;
+    tuple.dst_port = 443;
+    for (std::uint64_t flow = 0; flow < 8; ++flow) {
+      sink.register_flow(flow, tuple, net::Direction::server_to_client);
+    }
+    sink.on_alerts(alerts);  // warm-up: the largest delivery first
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 50; ++round) {
+      for (std::size_t n : {std::size_t{64}, std::size_t{1}, std::size_t{17}}) {
+        sink.on_alerts({alerts.data() + (64 - n), n});
+      }
+      sink.on_alert(alerts[static_cast<std::size_t>(round)]);
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << "NDJSON delivery allocated in steady state ("
+                             << seed_note() << ")";
+    EXPECT_EQ(sink.emitted(), forward.alerts);
+    EXPECT_EQ(sink.dropped(), 0u);
+  }
+  std::fclose(null);
 }
 
 // Engine-level with the approximate prefilter forced on: the screen stages

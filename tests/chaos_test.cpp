@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +261,47 @@ TEST_F(ChaosSink, WriteFailpointDrivesQuarantineWithoutAThrowingSink) {
   EXPECT_TRUE(guard.quarantined());
   EXPECT_EQ(guard.errors(), 2u);
   EXPECT_TRUE(inner.received.empty()) << "the injected failure fires before delivery";
+}
+
+// Accepts one alert at a time but throws on every multi-alert delivery.
+class BatchRejectingSink final : public ids::AlertSink {
+ public:
+  std::vector<ids::Alert> received;
+  void on_alert(const ids::Alert& alert) override { received.push_back(alert); }
+  void on_alerts(std::span<const ids::Alert> alerts) override {
+    if (alerts.size() > 1) throw std::runtime_error("batch rejected");
+    for (const ids::Alert& a : alerts) on_alert(a);
+  }
+};
+
+// Quarantine counts DELIVERIES: a thrown batch is one error however many
+// alerts it held, the streak advances once per failed batch, and a batch
+// swallowed while quarantined drops every alert it held.
+TEST_F(ChaosSink, GuardedSinkCountsBatchedDeliveriesNotAlerts) {
+  BatchRejectingSink inner;
+  pipeline::GuardedSink guard(&inner, /*quarantine_after=*/3);
+  const ids::Alert alert{1, 0, 0, pattern::Group::http, 0};
+  const std::vector<ids::Alert> batch(4, alert);
+
+  guard.on_alerts(batch);
+  EXPECT_EQ(guard.errors(), 1u) << "one failed delivery of 4 alerts is one error";
+  guard.on_alerts(batch);
+  guard.on_alert(alert);  // a successful delivery resets the streak
+  guard.on_alerts(batch);
+  guard.on_alerts(batch);
+  EXPECT_FALSE(guard.quarantined()) << "4 failed deliveries, but never 3 consecutive";
+  EXPECT_EQ(guard.errors(), 4u);
+  EXPECT_EQ(inner.received.size(), 1u);
+  EXPECT_EQ(guard.dropped(), 0u) << "a failed delivery is an error, not a quarantine drop";
+
+  guard.on_alerts(batch);  // third consecutive failed delivery
+  EXPECT_TRUE(guard.quarantined());
+  EXPECT_EQ(guard.errors(), 5u);
+
+  guard.on_alerts(std::vector<ids::Alert>(5, alert));
+  guard.on_alert(alert);
+  EXPECT_EQ(guard.dropped(), 6u) << "quarantine drops every alert of a swallowed delivery";
+  EXPECT_EQ(inner.received.size(), 1u);
 }
 
 TEST_F(ChaosSink, NdjsonSurvivesWriteFailuresAndKeepsForwarding) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <arpa/inet.h>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
@@ -25,6 +26,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson_sink.hpp"
 #include "telemetry/pipeline_metrics.hpp"
+#include "util/failpoint.hpp"
 
 namespace vpm {
 namespace {
@@ -41,6 +43,19 @@ TEST(JsonEscape, CoversControlAndQuoteCharacters) {
   EXPECT_EQ(telemetry::json_escaped(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
   // Bytes >= 0x80 pass through: the payload may be UTF-8 and JSON allows it.
   EXPECT_EQ(telemetry::json_escaped("caf\xC3\xA9"), "caf\xC3\xA9");
+}
+
+// The NDJSON "match" escaper is the two-step json_escape(escape_bytes())
+// fused: byte-identical for every byte value.
+TEST(JsonEscape, PrintableFormMatchesEscapeBytesThenJsonEscape) {
+  util::Bytes every_byte(256);
+  for (std::size_t i = 0; i < every_byte.size(); ++i) {
+    every_byte[i] = static_cast<std::uint8_t>(i);
+  }
+  std::string fused(5 * every_byte.size(), '\0');
+  fused.resize(static_cast<std::size_t>(
+      telemetry::json_escape_printable(every_byte, fused.data()) - fused.data()));
+  EXPECT_EQ(fused, telemetry::json_escaped(util::escape_bytes(every_byte)));
 }
 
 // ------------------------------------------------------------- histograms
@@ -362,6 +377,195 @@ TEST(NdjsonAlertSink, EmitsSchemaWithTupleEnrichmentAndEscaping) {
   EXPECT_NE(line2.find("\"flow\":99"), std::string::npos);
   EXPECT_EQ(line2.find("src_ip"), std::string::npos);
   EXPECT_NE(line2.find("\"group\":\"dns\""), std::string::npos);
+}
+
+// Everything an NDJSON memstream received, split into lines.
+struct MemLines {
+  char* buffer = nullptr;
+  std::size_t size = 0;
+  std::FILE* stream = open_memstream(&buffer, &size);
+
+  ~MemLines() { std::free(buffer); }
+
+  // Closes the stream (the sink only borrows it) and returns its lines.
+  std::vector<std::string> close() {
+    std::fclose(stream);
+    std::vector<std::string> lines;
+    const std::string out(buffer, size);
+    for (std::size_t pos = 0, nl; (nl = out.find('\n', pos)) != std::string::npos;
+         pos = nl + 1) {
+      lines.push_back(out.substr(pos, nl - pos));
+    }
+    return lines;
+  }
+};
+
+// Splits `{"ts_us":N,rest` into N and rest.
+std::pair<std::string, std::string> split_ts(const std::string& line) {
+  const std::string prefix = "{\"ts_us\":";
+  EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
+  const std::size_t comma = line.find(',');
+  return {line.substr(prefix.size(), comma - prefix.size()), line.substr(comma + 1)};
+}
+
+// One on_alerts delivery writes the same bytes as the same alerts delivered
+// one on_alert at a time (ts_us aside), pinned to golden lines: a registered
+// and an unregistered flow, match text escaped exactly as
+// json_escape(Pattern::printable()), and no "match" past the pattern set.
+TEST(NdjsonAlertSink, BatchDeliveryWritesTheSameLinesAsPerAlertDelivery) {
+  pattern::PatternSet patterns;
+  patterns.add("bad\"quote\npattern", true, pattern::Group::http);
+  patterns.add("back\\slash\xff\x01", false, pattern::Group::dns);
+  const std::vector<ids::Alert> alerts = {
+      {77, 0, 1234, pattern::Group::http, 3},
+      {99, 1, 5, pattern::Group::dns, 3},   // unregistered flow
+      {77, 9, 42, pattern::Group::http, 3},  // pattern id past the set
+  };
+
+  const auto deliver = [&](bool batched) {
+    MemLines mem;
+    EXPECT_NE(mem.stream, nullptr);
+    {
+      telemetry::NdjsonAlertSink sink(mem.stream, &patterns);
+      sink.register_flow(77, test_tuple(), net::Direction::client_to_server);
+      if (batched) {
+        sink.on_alerts(alerts);
+      } else {
+        for (const ids::Alert& a : alerts) sink.on_alert(a);
+      }
+      EXPECT_EQ(sink.emitted(), alerts.size());
+      EXPECT_EQ(sink.dropped(), 0u);
+    }
+    return mem.close();
+  };
+  const std::vector<std::string> batched = deliver(true);
+  const std::vector<std::string> single = deliver(false);
+  ASSERT_EQ(batched.size(), alerts.size());
+  ASSERT_EQ(single.size(), alerts.size());
+
+  const std::string tuple =
+      "\"src_ip\":\"10.0.0.2\",\"src_port\":49152,\"dst_ip\":\"192.168.0.1\","
+      "\"dst_port\":80,\"proto\":\"tcp\",\"dir\":\"c2s\",";
+  const std::string golden[] = {
+      "\"flow\":77," + tuple +
+          "\"group\":\"http\",\"pattern\":0,\"offset\":1234,\"generation\":3,"
+          "\"match\":\"bad\\\"quote\\\\x0apattern\"}",
+      "\"flow\":99,\"group\":\"dns\",\"pattern\":1,\"offset\":5,\"generation\":3,"
+      "\"match\":\"" + telemetry::json_escaped(patterns[1].printable()) + "\"}",
+      "\"flow\":77," + tuple +
+          "\"group\":\"http\",\"pattern\":9,\"offset\":42,\"generation\":3}",
+  };
+  EXPECT_EQ(telemetry::json_escaped(patterns[1].printable()),
+            "back\\\\x5cslash\\\\xff\\\\x01");
+  const std::string batch_ts = split_ts(batched[0]).first;
+  for (std::size_t i = 0; i < alerts.size(); ++i) {
+    EXPECT_EQ(split_ts(batched[i]).second, golden[i]) << "batched line " << i;
+    EXPECT_EQ(split_ts(single[i]).second, golden[i]) << "per-alert line " << i;
+    EXPECT_EQ(split_ts(batched[i]).first, batch_ts) << "ts_us is read once per delivery";
+  }
+}
+
+// The write failpoint fires per LINE inside a batched delivery: the failed
+// lines are left out of the write, every alert is emitted or dropped, and
+// the downstream sink still receives the whole delivery.
+TEST(NdjsonAlertSink, WriteFailpointDropsSingleLinesOfABatch) {
+  namespace fp = util::failpoint;
+  std::vector<ids::Alert> alerts;
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    alerts.push_back({i, 0, 100 + i, pattern::Group::http, 1});
+  }
+  std::vector<ids::Alert> forwarded;
+  ids::AlertBuffer collect(forwarded);
+  MemLines mem;
+  ASSERT_NE(mem.stream, nullptr);
+  {
+    telemetry::NdjsonAlertSink sink(mem.stream, nullptr, &collect);
+    ASSERT_EQ(fp::arm("alert_sink_write=every:3"), "");
+    sink.on_alerts(alerts);
+    fp::disarm();
+    EXPECT_EQ(sink.dropped(), 3u);
+    EXPECT_EQ(sink.emitted() + sink.dropped(), alerts.size());
+    EXPECT_FALSE(sink.ok());
+  }
+  EXPECT_EQ(forwarded, alerts);
+  const std::vector<std::string> lines = mem.close();
+  ASSERT_EQ(lines.size(), 6u);
+  // Hits 3, 6 and 9 fire: the third, sixth and ninth alerts have no line.
+  for (std::size_t i = 0, line = 0; i < alerts.size(); ++i) {
+    if (i % 3 == 2) continue;
+    EXPECT_NE(lines[line++].find("\"offset\":" + std::to_string(100 + i) + ","),
+              std::string::npos);
+  }
+}
+
+// The TSan target for the sink: two threads deliver batches while a third
+// registers flows.  Every delivered alert is emitted, and every line whose
+// flow was registered before its delivery carries that flow's tuple.
+TEST(NdjsonAlertSink, ConcurrentDeliveryAndRegistrationAreConsistent) {
+  constexpr std::uint64_t kFlows = 400;
+  constexpr std::uint64_t kUnregistered = 1'000'000;  // flow ids never registered
+  constexpr int kBatches = 300;
+  const auto tuple_of = [](std::uint64_t flow) {
+    net::FiveTuple t = test_tuple();
+    t.src_ip = 0x0A000000 + static_cast<std::uint32_t>(flow);  // 10.0.x.y
+    return t;
+  };
+
+  MemLines mem;
+  ASSERT_NE(mem.stream, nullptr);
+  std::atomic<std::uint64_t> registered{0};  // flows [0, registered) are in
+  std::uint64_t delivered[2] = {0, 0};
+  std::uint64_t emitted = 0;
+  {
+    telemetry::NdjsonAlertSink sink(mem.stream);
+    std::thread registrar([&] {
+      for (std::uint64_t f = 0; f < kFlows; ++f) {
+        sink.register_flow(f, tuple_of(f), net::Direction::client_to_server);
+        registered.store(f + 1, std::memory_order_release);
+      }
+    });
+    const auto deliver = [&](int self) {
+      std::vector<ids::Alert> batch;
+      for (int b = 0; b < kBatches; ++b) {
+        const std::uint64_t known = registered.load(std::memory_order_acquire);
+        batch.clear();
+        for (std::uint64_t i = 0; i < 8; ++i) {
+          const std::uint64_t flow =
+              known > 0 && i % 2 == 0 ? (static_cast<std::uint64_t>(b) * 8 + i) % known
+                                      : kUnregistered + i;
+          batch.push_back({flow, 0, static_cast<std::uint64_t>(b), pattern::Group::http, 0});
+        }
+        sink.on_alerts(batch);
+        delivered[self] += batch.size();
+      }
+    };
+    std::thread a(deliver, 0);
+    std::thread b(deliver, 1);
+    registrar.join();
+    a.join();
+    b.join();
+    emitted = sink.emitted();
+    EXPECT_EQ(sink.dropped(), 0u);
+  }
+  EXPECT_EQ(emitted, delivered[0] + delivered[1]);
+
+  const std::vector<std::string> lines = mem.close();
+  ASSERT_EQ(lines.size(), emitted);
+  for (const std::string& line : lines) {
+    const std::size_t at = line.find("\"flow\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::uint64_t flow = std::stoull(line.substr(at + 7));
+    const std::size_t src = line.find("\"src_ip\":");
+    if (flow >= kUnregistered) {
+      EXPECT_EQ(src, std::string::npos) << line;
+      continue;
+    }
+    ASSERT_NE(src, std::string::npos) << "registered before delivery: " << line;
+    const std::uint32_t ip = tuple_of(flow).src_ip;
+    const std::string expected = "\"src_ip\":\"10.0." + std::to_string(ip >> 8 & 0xFF) +
+                                 "." + std::to_string(ip & 0xFF) + "\"";
+    EXPECT_EQ(line.compare(src, expected.size(), expected), 0) << line;
+  }
 }
 
 // ------------------------------------------------- the observer property
