@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. Inspect: chunked feed through the engine (HTTP protocol group).
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch, rules));
   std::vector<ids::Alert> alerts;
   util::Rng rng(7);
   util::Timer timer;

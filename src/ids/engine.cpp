@@ -21,11 +21,6 @@ struct ScanGuard {
 };
 }  // namespace
 
-IdsEngine::IdsEngine(const pattern::PatternSet& rules, EngineConfig cfg)
-    : rules_(std::make_shared<const GroupedRules>(rules, cfg.algorithm)) {
-  prefilter_mode_ = cfg.prefilter;
-}
-
 IdsEngine::IdsEngine(DatabasePtr db)
     : rules_(std::make_shared<const GroupedRules>(std::move(db))) {}
 
@@ -39,9 +34,10 @@ void IdsEngine::swap_rules(GroupedRulesPtr rules, AlertSink& sink) {
   // Staged chunks belong to the old generation: scan them under the old
   // rules before the boundary.
   flush_batch(sink);
-  // Clean stream boundary: per-flow carry is tied to the old rules' group
-  // matchers and pattern-length tables, so every flow restarts fresh under
-  // the new generation (counters_.flows keeps counting distinct arrivals).
+  // Clean stream boundary: every flow's scanner borrows the old rules' group
+  // matcher and pattern-length table, so the flows go BEFORE the old rules
+  // can be released; each restarts fresh under the new generation
+  // (counters_.flows keeps counting distinct arrivals).
   flows_.clear();
   rules_ = std::move(rules);
   // New signatures, new traffic regime: restart the auto-mode sampling.

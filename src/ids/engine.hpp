@@ -20,11 +20,6 @@ class Histogram;
 
 namespace vpm::ids {
 
-struct EngineConfig {
-  core::Algorithm algorithm = core::Algorithm::vpatch;
-  core::PrefilterMode prefilter = core::PrefilterMode::automatic;
-};
-
 struct EngineCounters {
   std::uint64_t bytes_inspected = 0;
   std::uint64_t chunks = 0;
@@ -64,19 +59,16 @@ struct EngineTelemetry {
 
 class IdsEngine {
  public:
-  // Legacy shim: compiles a private GroupedRules from a caller-owned set
-  // (copied; the caller's set is not referenced afterwards).  Alerts carry
-  // generation 0.  Prefer the Database/GroupedRulesPtr constructors.
-  IdsEngine(const pattern::PatternSet& rules, EngineConfig cfg = {});
-
-  // Compiles protocol groups keyed off a shared database; alerts carry
-  // db->generation().
+  // Compiles protocol groups keyed off a shared database (vpm::compile());
+  // alerts carry db->generation().
   explicit IdsEngine(DatabasePtr db);
 
   // Adopts an already-compiled grouped ruleset.  This is the pipeline's
   // form: one GroupedRules per ruleset generation, compiled once and shared
   // immutably by every worker's engine (scan state lives in per-engine
-  // scratch, so concurrent engines over one GroupedRules are safe).
+  // scratch, so concurrent engines over one GroupedRules are safe).  Flows
+  // borrow their group's matcher and pattern-length table from the adopted
+  // rules; the engine's reference keeps them alive while any flow exists.
   explicit IdsEngine(GroupedRulesPtr rules);
 
   // Ruleset hot-swap: flushes any staged chunks under the OLD rules

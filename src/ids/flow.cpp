@@ -5,10 +5,10 @@
 namespace vpm::ids {
 
 StreamScanner::StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                             std::vector<std::uint32_t> pattern_lengths)
+                             std::span<const std::uint32_t> pattern_lengths)
     : matcher_(&matcher),
       carry_capacity_(max_pattern_len > 0 ? max_pattern_len - 1 : 0),
-      lengths_(std::move(pattern_lengths)) {}
+      lengths_(pattern_lengths) {}
 
 util::ByteView StreamScanner::prepare(util::ByteView chunk) {
   // Assemble carry + chunk; the view stays valid until commit() (the buffer

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "match/matcher.hpp"
 #include "util/bytes.hpp"
@@ -16,10 +17,12 @@ namespace vpm::ids {
 
 class StreamScanner {
  public:
-  // `matcher` must outlive the scanner; `max_pattern_len` bounds the carry.
-  // `pattern_lengths` (pattern id -> byte length) is copied.
+  // `matcher` and `pattern_lengths` (pattern id -> byte length) are
+  // borrowed and must outlive the scanner — IdsEngine takes both from its
+  // GroupedRules, so flows share the group's table instead of copying it;
+  // `max_pattern_len` bounds the carry.
   StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                std::vector<std::uint32_t> pattern_lengths);
+                std::span<const std::uint32_t> pattern_lengths);
 
   // Scans the next chunk; emits matches (absolute stream offsets) to sink.
   void feed(util::ByteView chunk, MatchSink& sink);
@@ -52,8 +55,8 @@ class StreamScanner {
  private:
   const Matcher* matcher_;
   std::size_t carry_capacity_;
-  std::vector<std::uint32_t> lengths_;  // pattern id -> byte length
-  util::Bytes buffer_;                         // carry + current chunk
+  std::span<const std::uint32_t> lengths_;  // pattern id -> byte length
+  util::Bytes buffer_;                      // carry + current chunk
   std::size_t carry_len_ = 0;
   std::uint64_t consumed_ = 0;
   std::size_t carry_at_stage_ = 0;  // carry length captured by prepare()

@@ -29,7 +29,8 @@ PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::Patter
   result.packets = parsed.packets.size();
   result.skipped_records = parsed.skipped_records;
 
-  IdsEngine engine(rules, cfg);
+  IdsEngine engine(vpm::compile(cfg.algorithm, rules));
+  engine.set_prefilter_mode(cfg.prefilter);
 
   // Dense flow ids per directional 5-tuple: each side of a connection scans
   // as its own stream.

@@ -29,10 +29,18 @@ struct PcapPipelineResult {
 // into the same group; for UDP it is the datagram's destination port.
 pattern::Group classify_port(std::uint16_t dst_port);
 
+// The single-threaded reference's engine choice: inspect_pcap compiles
+// `rules` with `algorithm` and screens with `prefilter`.
+struct EngineConfig {
+  core::Algorithm algorithm = core::Algorithm::vpatch;
+  core::PrefilterMode prefilter = core::PrefilterMode::automatic;
+};
+
 // Parses `pcap_bytes`, reassembles every TCP flow bidirectionally (each side
 // scans as its own stream; UDP payloads are scanned per-datagram), and
-// inspects each stream with the grouped rules.  `reassembly` selects the
-// overlap policy and buffering limits.
+// inspects each stream with the grouped rules.  `rules` is compiled into a
+// fresh Database, so alerts carry that database's generation.  `reassembly`
+// selects the overlap policy and buffering limits.
 PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::PatternSet& rules,
                                 EngineConfig cfg = {},
                                 net::ReassemblyConfig reassembly = {});

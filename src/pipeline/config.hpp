@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/matcher_factory.hpp"
 #include "core/prefilter.hpp"
 #include "ids/alert.hpp"
 #include "net/packet.hpp"
@@ -61,9 +60,6 @@ inline std::uint64_t flow_key(const net::FiveTuple& tuple) { return tuple.hash()
 enum class BackpressurePolicy : std::uint8_t { block, drop };
 
 struct PipelineConfig {
-  // Engine for the legacy PatternSet constructor only; the DatabasePtr
-  // constructor takes the algorithm from the compiled database.
-  core::Algorithm algorithm = core::Algorithm::vpatch;
   // Approximate q-gram prefilter ahead of each worker's exact engines.
   // Alert output is mode-independent (zero false negatives); `automatic`
   // screens heavy groups and adaptively bypasses when traffic is match-heavy.
@@ -94,9 +90,9 @@ struct PipelineConfig {
   std::vector<int> worker_cpus;
   // With pinning in effect, compile one GroupedRules instance per distinct
   // NUMA node the pinned workers land on (instead of one shared instance),
-  // so each socket scans its node-local copy of the compiled arena.  Applies
-  // to the DatabasePtr constructor and swap_database(); ignored (single
-  // shared instance) when worker_cpus is empty or the host has one node.
+  // so each socket scans its node-local copy of the compiled arena, at
+  // construction and on every swap_database().  Ignored (single shared
+  // instance) when worker_cpus is empty or the host has one node.
   bool numa_replicate_rules = false;
 
   net::ReassemblyLimits reassembly{};

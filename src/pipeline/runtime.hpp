@@ -50,16 +50,10 @@ class PipelineRuntime {
  public:
   // Builds the shared grouped ruleset from `db` (one compile, shared
   // read-only by every worker — not one compile per worker) and one
-  // reassembler/engine pair per worker.  cfg.algorithm is ignored on this
-  // path (the database fixes the engine).  Worker counts are clamped to
-  // >= 1.
+  // reassembler/engine pair per worker; the database fixes the engine
+  // algorithm.  Worker counts are clamped to >= 1.  Throws
+  // std::invalid_argument on a null database.
   PipelineRuntime(DatabasePtr db, PipelineConfig cfg = {});
-
-  // Legacy shim: compiles from a caller-owned PatternSet with
-  // cfg.algorithm; the set is copied during construction and not referenced
-  // afterwards.  Alerts carry generation 0 on this path (matching the
-  // legacy single-threaded IdsEngine(rules, cfg) reference).
-  PipelineRuntime(const pattern::PatternSet& rules, PipelineConfig cfg = {});
 
   ~PipelineRuntime();  // stops and joins if still running
 
@@ -121,17 +115,12 @@ class PipelineRuntime {
   const std::vector<ids::Alert>& alerts() const { return alerts_; }
 
   // Ruleset replicas backing the workers: 1 normally; one per NUMA node
-  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set (the
-  // DatabasePtr path — replicas share the master pattern bytes through the
-  // database but carry node-local compiled matcher tables).
+  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set
+  // (replicas share the master pattern bytes through the database but carry
+  // node-local compiled matcher tables).
   std::size_t rules_replicas() const { return rules_channels_.size(); }
 
  private:
-  // `db` is the compiled database backing `rules` (null on the legacy
-  // PatternSet path); kept so NUMA replication can build additional
-  // same-generation GroupedRules instances off it.
-  PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db, PipelineConfig cfg);
-
   PipelineConfig cfg_;
   // One channel per ruleset replica.  Slot 0 always exists; worker i reads
   // worker_slot_[i].  unique_ptr: RulesChannel holds atomics/mutex and must

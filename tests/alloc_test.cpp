@@ -19,6 +19,7 @@
 #include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
+#include "pattern/ruleset_gen.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson_sink.hpp"
 #include "util/failpoint.hpp"
@@ -143,7 +144,7 @@ TEST(AllocTest, MatcherBatchScanSteadyStateIsAllocationFree) {
 // high-water marks.
 TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
   const auto rules = testutil::random_set(200, 6, case_seed(303));
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch, rules));
   CountingAlertSink sink;
 
   const util::Bytes pool = testutil::random_text(1 << 16, case_seed(304));
@@ -188,6 +189,40 @@ TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
                            << seed_note() << ")";
   EXPECT_GT(sink.alerts, 0u) << "workload must produce alerts to be meaningful";
   EXPECT_GT(sink.largest_delivery, 100u) << "the dense rounds must fill the alert buffer";
+}
+
+// Opening a flow must not copy rule tables: every flow's scanner borrows its
+// group's pattern-length table from the shared GroupedRules, so a new flow
+// costs one allocation — its flow-table cell, holding the scanner and the
+// still-empty stream buffer — and nothing that grows with the ruleset.  With
+// an S2-sized ruleset a per-flow copy of the http group's table would be
+// thousands of entries, one extra allocation per flow.
+TEST(AllocTest, OpeningFlowDoesNotCopyRuleTables) {
+  ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch,
+                                     pattern::generate_ruleset(pattern::s2_config())));
+  engine.set_prefilter_mode(core::PrefilterMode::off);
+  ASSERT_GT(engine.rules().pattern_lengths(pattern::Group::http).size(), 5000u);
+  CountingAlertSink sink;
+
+  constexpr std::uint64_t kFlows = 1024;
+  const auto open_flows = [&](std::uint64_t first) {
+    for (std::uint64_t flow = first; flow < first + kFlows; ++flow) {
+      engine.inspect(flow, pattern::Group::http, util::ByteView{}, sink);
+    }
+  };
+  // Warm-up grows the flow table to kFlows entries; swap_rules then drops
+  // every flow but keeps the slot array, so the measured opens below pay for
+  // flows only, not for table growth.
+  open_flows(0);
+  engine.swap_rules(engine.rules_ptr(), sink);
+  ASSERT_EQ(engine.active_flows(), 0u);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  open_flows(kFlows);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(engine.active_flows(), kFlows);
+  EXPECT_LE(after - before, kFlows) << "opening " << kFlows << " flows made "
+                                    << after - before << " allocations";
 }
 
 // A flush-batch delivery into the NDJSON sink — per-thread line buffer,
@@ -253,7 +288,8 @@ TEST(AllocTest, EnginePrefilterScreenSteadyStateIsAllocationFree) {
       rules.add(std::move(b), rng.chance(0.3));
     }
   }
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch, core::PrefilterMode::on});
+  ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch, rules));
+  engine.set_prefilter_mode(core::PrefilterMode::on);
   CountingAlertSink sink;
 
   const util::Bytes pool = testutil::random_text(1 << 16, case_seed(306));
@@ -332,7 +368,7 @@ TEST(AllocTest, TelemetryRecordPathIsAllocationFree) {
 // steady state (the contract PipelineConfig::metrics documents).
 TEST(AllocTest, EngineWithTelemetrySteadyStateIsAllocationFree) {
   const auto rules = testutil::random_set(200, 6, case_seed(303));
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch, rules));
   CountingAlertSink sink;
 
   telemetry::MetricsRegistry registry;

@@ -72,10 +72,9 @@ std::vector<ids::Alert> run_pipeline_from_source(CaptureSource& source,
                                                  unsigned workers,
                                                  std::size_t poll_batch) {
   pipeline::PipelineConfig cfg;
-  cfg.algorithm = core::Algorithm::aho_corasick;
   cfg.workers = workers;
   cfg.batch_packets = 32;
-  pipeline::PipelineRuntime rt(rules, cfg);
+  pipeline::PipelineRuntime rt(vpm::compile(core::Algorithm::aho_corasick, rules), cfg);
   rt.start();
   std::vector<net::Packet> batch;
   while (!source.exhausted()) {

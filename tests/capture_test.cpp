@@ -430,6 +430,7 @@ TEST(SourceSpec, MalformedSpecsThrow) {
   EXPECT_THROW(open_source("trace:mixed,flows"), std::invalid_argument);
   EXPECT_THROW(open_source("warp:eth0"), std::invalid_argument);
   EXPECT_THROW(open_source("afpacket:"), std::invalid_argument);
+  EXPECT_THROW(open_source("afxdp:eth0"), std::invalid_argument);
   EXPECT_THROW(open_source("pcap:/nonexistent/vpm.pcap"), std::runtime_error);
   EXPECT_THROW(open_source("/nonexistent/vpm.pcap"), std::runtime_error);
 }

@@ -409,7 +409,7 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
   for (double& e : cfg.overload.exit_fill) e = -1.0;
   cfg.overload.shed_payload_bytes = 8;  // every 32-byte payload is oversized
 
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, demo_rules()), cfg);
   rt.start();
   const std::string payload(32, 'x');
   for (std::uint32_t i = 0; i < 200; ++i) {
@@ -429,7 +429,7 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
 TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, demo_rules()), cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 100; ++i) {
     rt.submit(tcp_packet(1 + i % 4, 40000, 100 + (i / 4) * 8, "xxNEEDLE", i));
@@ -445,11 +445,12 @@ TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
 
 using ChaosDifferential = ChaosTest;
 
-std::vector<ids::Alert> run_pipeline(const std::vector<net::Packet>& packets) {
+std::vector<ids::Alert> run_pipeline(const DatabasePtr& db,
+                                     const std::vector<net::Packet>& packets) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(db, cfg);
   rt.start();
   for (const auto& p : packets) rt.submit(p);
   rt.stop();
@@ -465,23 +466,25 @@ TEST_F(ChaosDifferential, DisarmedRunsAreIdenticalAndBlockedPushRetriesAreLossle
     packets.push_back(tcp_packet(10 + f, 50000, 100, "ab NEE", f));
     packets.push_back(tcp_packet(10 + f, 50000, 106, "DLE cd", f + 16));
   }
+  // One database for every run: whole alerts, generation included, compare.
+  const DatabasePtr db = compile(core::Algorithm::vpatch, demo_rules());
 
-  const auto baseline = run_pipeline(packets);
+  const auto baseline = run_pipeline(db, packets);
   ASSERT_EQ(baseline.size(), 16u);
-  EXPECT_EQ(run_pipeline(packets), baseline) << "disarmed runs must be deterministic";
+  EXPECT_EQ(run_pipeline(db, packets), baseline) << "disarmed runs must be deterministic";
 
   // Injected ring-full under the block policy: the router retries until the
   // push lands, so faults cost latency, never alerts.
   ASSERT_EQ(fp::arm("ring_push=every:3"), "");
-  EXPECT_EQ(run_pipeline(packets), baseline);
+  EXPECT_EQ(run_pipeline(db, packets), baseline);
   EXPECT_GT(fp::fires(fp::Site::ring_push), 0u) << "the fault actually fired";
 
   // Injected ring-empty on the consumer side: workers just spin once more.
   ASSERT_EQ(fp::arm("ring_pop=every:2"), "");
-  EXPECT_EQ(run_pipeline(packets), baseline);
+  EXPECT_EQ(run_pipeline(db, packets), baseline);
 
   fp::disarm();
-  EXPECT_EQ(run_pipeline(packets), baseline) << "disarming restores the exact baseline";
+  EXPECT_EQ(run_pipeline(db, packets), baseline) << "disarming restores the exact baseline";
 }
 
 // ---- worker failure + watchdog ---------------------------------------------
@@ -493,7 +496,7 @@ TEST_F(ChaosWorker, BatchFailureIsContainedDrainedAndAccounted) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, demo_rules()), cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 64; ++i) {
     rt.submit(tcp_packet(1 + i % 8, 40000, 100 + (i / 8) * 8, "xxNEEDLE", i));
@@ -576,7 +579,7 @@ TEST(ChaosWatchdog, PipelineSurfacesAWedgedWorkerInStats) {
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_stall_intervals = 3;
   cfg.alert_sink = &sink;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, demo_rules()), cfg);
   rt.start();
   rt.submit(tcp_packet(1, 40000, 100, "xxNEEDLExx"));
   rt.flush();

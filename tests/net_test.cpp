@@ -667,7 +667,7 @@ TEST(PcapPipeline, EndToEndMatchesDirectScan) {
   EXPECT_EQ(result.reassembly_drops, 0u);
 
   // Ground truth: scan each stream directly with the http-group matcher.
-  const GroupedRules grouped(rules, core::Algorithm::vpatch);
+  const GroupedRules grouped(vpm::compile(core::Algorithm::vpatch, rules));
   std::size_t expected = 0;
   for (const auto& s : repacked.streams) {
     expected += grouped.matcher_for(pattern::Group::http).count_matches(s);

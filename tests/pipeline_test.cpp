@@ -158,20 +158,20 @@ TEST(ShardRouter, FlushDeliversPartialBatches) {
 
 // ---- runtime --------------------------------------------------------------
 
-pattern::PatternSet demo_rules() {
+DatabasePtr demo_db() {
   pattern::PatternSet rules;
   rules.add("NEEDLE", false, pattern::Group::http);
   rules.add("GET /", false, pattern::Group::http);
   rules.add("zz-generic-zz", false, pattern::Group::generic);
-  return rules;
+  return vpm::compile(core::Algorithm::vpatch, std::move(rules));
 }
 
 TEST(PipelineRuntime, FindsPatternSplitAcrossSegmentsAndWorkers) {
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 4;
   cfg.batch_packets = 2;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
   // 8 flows; each carries "NEEDLE" split across the first two segments, and
   // the later segments arrive out of order (the head segment must come
@@ -197,12 +197,12 @@ TEST(PipelineRuntime, FindsPatternSplitAcrossSegmentsAndWorkers) {
 }
 
 TEST(PipelineRuntime, BlockingBackpressureIsLossless) {
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 1;
   cfg.ring_batches = 2;  // tiny rings so the producer actually blocks
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
   constexpr std::uint32_t kPackets = 5000;
   for (std::uint32_t i = 0; i < kPackets; ++i) {
@@ -217,11 +217,11 @@ TEST(PipelineRuntime, BlockingBackpressureIsLossless) {
 }
 
 TEST(PipelineRuntime, StatsSnapshotWhileRunning) {
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 2000; ++i) {
     rt.submit(tcp_packet(1 + (i % 8), 40000, (i / 8) * 8, "GET /abc", i));
@@ -246,11 +246,11 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
       alerts.push_back(a);
     }
   } sink;
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 3;
   cfg.alert_sink = &sink;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
   for (std::uint32_t f = 0; f < 12; ++f) {
     rt.submit(tcp_packet(200 + f, 50000, 0, "xx NEEDLE yy", f));
@@ -262,8 +262,8 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
 }
 
 TEST(PipelineRuntime, IsOneShot) {
-  const auto rules = demo_rules();
-  PipelineRuntime rt(rules, {});
+  const DatabasePtr db = demo_db();
+  PipelineRuntime rt(db, {});
   EXPECT_THROW(rt.submit(tcp_packet(1, 2, 0, "x")), std::logic_error);
   rt.start();
   EXPECT_THROW(rt.start(), std::logic_error);
@@ -279,14 +279,14 @@ TEST(PipelineRuntime, IsOneShot) {
 // active_flows() stays bounded no matter how many flows pass through.
 
 TEST(PipelineRuntime, ChurnOfShortLivedFlowsStaysBounded) {
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 8;
   cfg.idle_timeout_us = 1000;        // 1 ms of capture time
   cfg.eviction_sweep_packets = 64;
   cfg.reassembly.max_buffered_bytes = 4096;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
 
   constexpr std::uint32_t kFlows = 3000;
@@ -318,11 +318,11 @@ TEST(PipelineRuntime, ChurnOfShortLivedFlowsStaysBounded) {
 }
 
 TEST(PipelineRuntime, EvictionDisabledKeepsAllFlows) {
-  const auto rules = demo_rules();
+  const DatabasePtr db = demo_db();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.idle_timeout_us = 0;  // disabled
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(db, cfg);
   rt.start();
   for (std::uint32_t f = 0; f < 100; ++f) {
     rt.submit(tcp_packet(0x0A000000u + f, 40000, 0, "GET /x", f * 1000000));
