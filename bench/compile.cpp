@@ -1,9 +1,12 @@
 // Compile-path latency: how long vpm::compile() takes to turn a rule set
 // into an immutable Database, per algorithm and ruleset size, plus the
-// compiled footprint (Database::memory_bytes — engine tables + owned pattern
-// copy).  This is the control-plane cost a hot-swap pays before publishing a
-// new generation, so the trajectory tracks it the same way the scan benches
-// track data-plane throughput.
+// compiled footprint (Database::memory_bytes — whole-set and per-group
+// engine tables, prefilters, owned pattern copies).  compile_ms includes
+// building every rule group's engine and prefilter, which compile() does
+// eagerly, plus the whole-set engine touched below.  This is the whole
+// control-plane cost of a hot-swap (swap_database itself only publishes),
+// so the trajectory tracks it the same way the scan benches track data-plane
+// throughput.
 //
 //   bench_compile [--seed=N] [--runs=N] [--quick] [--json=FILE]
 #include <cstdio>

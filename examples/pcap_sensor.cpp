@@ -11,8 +11,7 @@
 //                                                traffic, afpacket:IFACE live
 //                                                capture (VPM_WITH_AFPACKET)
 //   ./pcap_sensor --cpu-list=0-3,8 ...           pin worker i to the i-th
-//                                                listed CPU (and replicate the
-//                                                compiled rules per NUMA node)
+//                                                listed CPU
 //   ./pcap_sensor --numa=auto ...                derive the pin list from the
 //                                                detected topology, workers
 //                                                interleaved across nodes
@@ -39,10 +38,13 @@
 // segments is still caught.  With --workers=N the capture is replayed
 // through the sharded pipeline runtime (one reassembler + engine per
 // worker), which reports the same alerts as the single-threaded path.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -139,8 +141,6 @@ int run_sharded(capture::CaptureSource& source, const pattern::PatternSet& rules
   cfg.reassembly = opt.reassembly;
   cfg.overload = opt.overload;
   cfg.worker_cpus = opt.worker_cpus;
-  // Pinned workers get per-NUMA-node replicas of the compiled ruleset.
-  cfg.numa_replicate_rules = !opt.worker_cpus.empty();
   if (opt.batch_packets > 0) cfg.batch_packets = opt.batch_packets;
   if (opt.metrics_port >= 0) cfg.metrics = &registry;
 
@@ -159,10 +159,6 @@ int run_sharded(capture::CaptureSource& source, const pattern::PatternSet& rules
   }
 
   pipeline::PipelineRuntime rt(db, cfg);
-  if (cfg.numa_replicate_rules && rt.rules_replicas() > 1) {
-    std::printf("numa: %zu ruleset replicas across pinned nodes\n",
-                rt.rules_replicas());
-  }
 
   std::unique_ptr<capture::CaptureTelemetry> capture_metrics;
   if (opt.metrics_port >= 0) {
@@ -423,6 +419,26 @@ std::string algo_names() {
   return names;
 }
 
+// Parses the value of a numeric flag `arg` ("--name=VALUE"): the whole value
+// must be decimal digits no greater than `max`.  Otherwise prints
+// "bad --name=VALUE" and returns false (the caller exits 2).
+template <typename T>
+bool parse_number(const char* arg, T& out,
+                  std::uint64_t max = std::numeric_limits<T>::max()) {
+  const char* value = std::strchr(arg, '=') + 1;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
+      errno == ERANGE || v > max) {
+    std::fprintf(stderr, "bad %s; expected an integer in 0..%llu\n", arg,
+                 static_cast<unsigned long long>(max));
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
 void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--source=SPEC] [--workers=N] [--batch=N] [--algo=NAME] "
@@ -434,8 +450,7 @@ void print_usage(const char* prog) {
                "  --source=SPEC    pcap:FILE | trace:mixed|evasion[,flows=N,"
                "seed=N,epochs=N] | afpacket:IFACE[,blocks=N,block_kb=N,fanout=ID] "
                "(a bare path means pcap)\n"
-               "  --cpu-list=LIST  pin worker i to the i-th CPU of LIST (0-3,8) "
-               "and replicate the ruleset per NUMA node\n"
+               "  --cpu-list=LIST  pin worker i to the i-th CPU of LIST (0-3,8)\n"
                "  --numa=auto      derive the pin list from sysfs topology, "
                "interleaved across nodes\n"
                "  --max-packets=N  stop after N packets (endless/live sources)\n"
@@ -469,18 +484,15 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      opt.workers = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
+      if (!parse_number(argv[i], opt.workers)) return 2;
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      opt.batch_packets =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
+      if (!parse_number(argv[i], opt.batch_packets)) return 2;
     } else if (std::strncmp(argv[i], "--swap-after=", 13) == 0) {
-      opt.swap_after =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 13, nullptr, 10));
+      if (!parse_number(argv[i], opt.swap_after)) return 2;
     } else if (std::strncmp(argv[i], "--source=", 9) == 0) {
       opt.source_spec = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--max-packets=", 14) == 0) {
-      opt.max_packets =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
+      if (!parse_number(argv[i], opt.max_packets)) return 2;
     } else if (std::strncmp(argv[i], "--cpu-list=", 11) == 0) {
       const auto cpus = capture::parse_cpu_list(argv[i] + 11);
       if (!cpus || cpus->empty()) {
@@ -492,15 +504,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--numa=auto") == 0) {
       opt.worker_cpus = capture::CpuTopology::detect().interleaved_cpus();
     } else if (std::strncmp(argv[i], "--metrics-port=", 15) == 0) {
-      opt.metrics_port = static_cast<int>(std::strtol(argv[i] + 15, nullptr, 10));
-      if (opt.metrics_port < 0 || opt.metrics_port > 65535) {
-        std::fprintf(stderr, "bad --metrics-port=%s; expected 0..65535\n",
-                     argv[i] + 15);
-        return 2;
-      }
+      if (!parse_number(argv[i], opt.metrics_port, 65535)) return 2;
     } else if (std::strncmp(argv[i], "--serve-seconds=", 16) == 0) {
-      opt.serve_seconds =
-          static_cast<unsigned>(std::strtoul(argv[i] + 16, nullptr, 10));
+      if (!parse_number(argv[i], opt.serve_seconds)) return 2;
     } else if (std::strncmp(argv[i], "--alert-json=", 13) == 0) {
       opt.alert_json = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--overload-policy=", 18) == 0) {
@@ -517,7 +523,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--fail=", 7) == 0) {
       opt.fail_spec = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--fail-seed=", 12) == 0) {
-      opt.fail_seed = std::strtoull(argv[i] + 12, nullptr, 10);
+      if (!parse_number(argv[i], opt.fail_seed)) return 2;
     } else if (std::strncmp(argv[i], "--overlap-policy=", 17) == 0) {
       const auto policy = net::overlap_policy_from_name(argv[i] + 17);
       if (!policy) {

@@ -67,13 +67,6 @@ std::optional<std::vector<int>> parse_cpu_list(std::string_view text) {
   return cpus;
 }
 
-int CpuTopology::node_of(int cpu) const {
-  for (const Node& n : nodes) {
-    if (std::binary_search(n.cpus.begin(), n.cpus.end(), cpu)) return n.id;
-  }
-  return -1;
-}
-
 std::vector<int> CpuTopology::all_cpus() const {
   std::vector<int> out;
   for (const Node& n : nodes) out.insert(out.end(), n.cpus.begin(), n.cpus.end());

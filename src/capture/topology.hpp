@@ -4,8 +4,7 @@
 // belongs to — are a pair of text files away).
 //
 // Used by the runtime for worker→CPU pinning (PipelineConfig::worker_cpus)
-// and per-NUMA-node GroupedRules replication, and by pcap_sensor's
-// --numa=auto placement.
+// and by pcap_sensor's --numa=auto placement.
 #pragma once
 
 #include <optional>
@@ -22,13 +21,11 @@ struct CpuTopology {
   };
   std::vector<Node> nodes;  // ascending by id; never empty after detect()
 
-  // Node id owning `cpu`, or -1 when unknown (treat as node 0).
-  int node_of(int cpu) const;
   // Every online CPU, ascending.
   std::vector<int> all_cpus() const;
   // CPUs interleaved across nodes (node0[0], node1[0], node0[1], ...) — the
-  // --numa=auto placement: consecutive workers land on alternating sockets
-  // so per-node rules replication splits the fleet evenly.
+  // --numa=auto placement: consecutive workers land on alternating sockets,
+  // splitting the fleet evenly across nodes.
   std::vector<int> interleaved_cpus() const;
 
   // Reads /sys/devices/system/{node,cpu}.  Hosts without NUMA sysfs (or

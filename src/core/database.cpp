@@ -1,5 +1,6 @@
 #include "core/database.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -12,6 +13,14 @@ namespace {
 std::uint64_t next_generation() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::size_t pattern_bytes(const pattern::PatternSet& set) {
+  std::size_t bytes = 0;
+  for (const pattern::Pattern& p : set) {
+    bytes += sizeof(pattern::Pattern) + p.bytes.capacity();
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -40,12 +49,23 @@ Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patte
                              std::string(core::algorithm_name(algorithm_)) +
                              "' is unavailable on this CPU");
   }
-  // Per-group signatures over the same pattern subset each GroupedRules
-  // entry scans (the group's own patterns plus the generic group).
-  for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
+  // Each group's working set = its own patterns + the generic ones (the
+  // generic group sees only generic patterns); its engine and its signature
+  // are built over that one set.
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
     const auto group = static_cast<pattern::Group>(g);
-    prefilters_[g] =
-        core::build_prefilter(patterns_.filter_groups({group, pattern::Group::generic}));
+    RuleGroup& rg = groups_[g];
+    for (const pattern::Pattern& p : patterns_) {
+      if (p.group != group && p.group != pattern::Group::generic) continue;
+      rg.patterns.add(p.bytes, p.nocase, p.group);  // master set is deduplicated
+      rg.to_master.push_back(p.id);
+      rg.lengths.push_back(static_cast<std::uint32_t>(p.size()));
+      rg.max_len = std::max(rg.max_len, p.size());
+    }
+    // Some engines reject an empty set; naive over it never matches.
+    rg.matcher = core::make_matcher(
+        rg.patterns.empty() ? core::Algorithm::naive : algorithm_, rg.patterns);
+    prefilters_[g] = core::build_prefilter(rg.patterns);
   }
 }
 
@@ -56,15 +76,15 @@ const Matcher& Database::engine() const {
 }
 
 std::size_t Database::memory_bytes() const {
-  std::size_t pattern_bytes = 0;
-  for (const pattern::Pattern& p : patterns_) {
-    pattern_bytes += sizeof(pattern::Pattern) + p.bytes.capacity();
+  std::size_t bytes = engine().memory_bytes() + pattern_bytes(patterns_);
+  for (const RuleGroup& rg : groups_) {
+    bytes += rg.matcher->memory_bytes() + pattern_bytes(rg.patterns) +
+             (rg.to_master.capacity() + rg.lengths.capacity()) * sizeof(std::uint32_t);
   }
-  std::size_t prefilter_bytes = 0;
   for (const core::PrefilterPtr& f : prefilters_) {
-    if (f != nullptr) prefilter_bytes += f->memory_bytes();
+    if (f != nullptr) bytes += f->memory_bytes();
   }
-  return engine().memory_bytes() + pattern_bytes + prefilter_bytes;
+  return bytes;
 }
 
 util::Bytes Database::save_patterns() const {

@@ -2,9 +2,9 @@
 //
 // vpm::Database is the immutable compiled artifact: compile() copies the
 // pattern bytes and metadata out of the caller's PatternSet and builds the
-// engine over the copy, so the source set may be destroyed the moment
-// compile() returns (the old make_matcher contract — "the PatternSet must
-// outlive the matcher" — does not apply here).  A Database is shared by
+// per-rule-group engines over the copy, so the source set may be destroyed
+// the moment compile() returns (the old make_matcher contract — "the
+// PatternSet must outlive the matcher" — does not apply here).  A Database is shared by
 // std::shared_ptr<const Database> and is safe to scan from any number of
 // threads concurrently: all mutable scan state lives in the per-thread
 // Scanner session.
@@ -25,8 +25,10 @@
 //   scanner.scan_batch(payloads, batch_sink);
 #pragma once
 
+#include <array>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/matcher_factory.hpp"
 #include "core/prefilter.hpp"
@@ -39,6 +41,22 @@ namespace vpm {
 class Database;
 using DatabasePtr = std::shared_ptr<const Database>;
 
+// One protocol rule group's compiled tables (paper §V-A: a stream is matched
+// only against its protocol's patterns plus the generic ones).  `patterns`
+// holds the group's own + generic patterns with group-LOCAL ids; the matcher
+// reports those ids and `to_master` maps them back to the master set.  The
+// generic group holds only generic patterns.  A group with no patterns gets
+// a naive matcher over the empty set (cheaper than a null check per scan).
+struct RuleGroup {
+  pattern::PatternSet patterns;  // outlives matcher: the engine is built over it
+  std::vector<std::uint32_t> to_master;  // local id -> master id
+  // Local id -> byte length.  Flow scanners borrow this table (no per-flow
+  // copy), so it lives as long as the database.
+  std::vector<std::uint32_t> lengths;
+  std::size_t max_len = 0;
+  MatcherPtr matcher;
+};
+
 class Database {
   struct Private {};  // compile()/from_serialized() are the only builders
 
@@ -48,7 +66,8 @@ class Database {
   core::Algorithm algorithm() const { return algorithm_; }
   std::string_view algorithm_name() const { return core::algorithm_name(algorithm_); }
   std::size_t pattern_count() const { return patterns_.size(); }
-  // Engine tables plus the owned pattern storage.
+  // Whole-set engine, group engines and tables, prefilters, and the owned
+  // pattern storage.
   std::size_t memory_bytes() const;
 
   // Process-monotonic compile id (never reused; assigned per compile()).
@@ -60,10 +79,18 @@ class Database {
   // The owned pattern copy (ids are the ids engines report).
   const pattern::PatternSet& patterns() const { return patterns_; }
 
+  // The compiled tables of protocol group `group`, built eagerly by compile()
+  // and from_serialized().  These are what the IDS engine scans; they are
+  // immutable and safe to scan from any number of threads with caller-owned
+  // scratch.
+  const RuleGroup& group(pattern::Group group) const {
+    return groups_[static_cast<std::size_t>(group)];
+  }
+
   // Per-group approximate q-gram signatures, built eagerly at compile time
-  // over each group's own + generic patterns (the same composition
-  // GroupedRules scans).  Null slot = no usable signature for that group
-  // (empty, or contains a sub-3-byte pattern).  Serialized inside
+  // over each group's pattern set (group(g).patterns).  Null slot = no
+  // usable signature for that group (empty, or contains a sub-3-byte
+  // pattern).  Serialized inside
   // save_patterns() and restored — checksummed — by from_serialized(), so a
   // loaded database screens identically to the compiling process.
   const core::GroupPrefilters& prefilters() const { return prefilters_; }
@@ -74,11 +101,11 @@ class Database {
   // The compiled whole-set engine.  Scanning through it directly is valid
   // (scan / scan_batch are const and thread-safe with caller-owned
   // scratch); Scanner packages exactly that.  Built lazily on first access
-  // (std::call_once, so concurrent first readers are safe): consumers that
-  // only need the pattern artifact — GroupedRules/IdsEngine/the pipeline
-  // compile their own per-group matchers — never pay for or hold the
-  // unused whole-set tables.  Availability of the algorithm is validated
-  // eagerly in compile(), so this cannot throw for a missing kernel.
+  // (std::call_once, so concurrent first readers are safe): the IDS engine
+  // and the pipeline scan the group engines only, so they never pay for or
+  // hold the unused whole-set tables.  Availability of the algorithm is
+  // validated eagerly in compile(), so this cannot throw for a missing
+  // kernel.
   const Matcher& engine() const;
 
   // Serialized v2 pattern database carrying this database's fingerprint and
@@ -109,6 +136,7 @@ class Database {
   pattern::PatternSet patterns_;  // outlives engine_: the engine is built over it
   mutable std::once_flag engine_once_;
   mutable MatcherPtr engine_;  // lazily built; logically part of the const artifact
+  std::array<RuleGroup, static_cast<std::size_t>(pattern::Group::count)> groups_;
   core::GroupPrefilters prefilters_;
   core::Algorithm algorithm_;
   std::uint64_t generation_;
@@ -119,7 +147,8 @@ class Database {
 // moved — pass std::move(set) to avoid the copy); the caller's set is not
 // referenced after compile() returns.  Throws std::runtime_error for vector
 // engines on unsupported CPUs (same contract as make_matcher; checked here
-// even though the whole-set engine itself materializes lazily).
+// even though the whole-set engine itself materializes lazily).  Builds every
+// rule group's engine and prefilter before returning.
 DatabasePtr compile(core::Algorithm algorithm, pattern::PatternSet set);
 
 // The per-thread scan session: a shared Database plus this thread's scratch.

@@ -21,34 +21,30 @@ struct ScanGuard {
 };
 }  // namespace
 
-IdsEngine::IdsEngine(DatabasePtr db)
-    : rules_(std::make_shared<const GroupedRules>(std::move(db))) {}
-
-IdsEngine::IdsEngine(GroupedRulesPtr rules) : rules_(std::move(rules)) {
-  if (rules_ == nullptr) throw std::invalid_argument("IdsEngine: null rules");
+IdsEngine::IdsEngine(DatabasePtr db) : db_(std::move(db)) {
+  if (db_ == nullptr) throw std::invalid_argument("IdsEngine: null database");
 }
 
-void IdsEngine::swap_rules(GroupedRulesPtr rules, AlertSink& sink) {
+void IdsEngine::swap_rules(DatabasePtr db, AlertSink& sink) {
   assert(!in_scan_ && "swap_rules() called from an AlertSink mid-scan");
-  if (rules == nullptr) throw std::invalid_argument("IdsEngine::swap_rules: null rules");
+  if (db == nullptr) throw std::invalid_argument("IdsEngine::swap_rules: null database");
   // Staged chunks belong to the old generation: scan them under the old
-  // rules before the boundary.
+  // database before the boundary.
   flush_batch(sink);
-  // Clean stream boundary: every flow's scanner borrows the old rules' group
-  // matcher and pattern-length table, so the flows go BEFORE the old rules
-  // can be released; each restarts fresh under the new generation
+  // Clean stream boundary: every flow's scanner borrows the old database's
+  // group matcher and pattern-length table, so the flows go BEFORE the old
+  // database can be released; each restarts fresh under the new generation
   // (counters_.flows keeps counting distinct arrivals).
   flows_.clear();
-  rules_ = std::move(rules);
+  db_ = std::move(db);
   // New signatures, new traffic regime: restart the auto-mode sampling.
   pf_auto_.fill({});
 }
 
 IdsEngine::FlowState& IdsEngine::flow_for(std::uint64_t flow_id, pattern::Group protocol) {
   auto [flow, inserted] = flows_.find_or_emplace(flow_id, [&] {
-    return FlowState{protocol, StreamScanner(rules_->matcher_for(protocol),
-                                             rules_->max_pattern_length(protocol),
-                                             rules_->pattern_lengths(protocol))};
+    const RuleGroup& rg = db_->group(protocol);
+    return FlowState{protocol, StreamScanner(*rg.matcher, rg.max_len, rg.lengths)};
   });
   if (inserted) ++counters_.flows;
   return *flow;
@@ -73,7 +69,7 @@ void IdsEngine::inspect(std::uint64_t flow_id, pattern::Group protocol, util::By
   // sampling coherent.  The batch path's alert multiset per chunk is
   // identical to the feed below, so callers can't tell — except that the
   // prefilter counters now move on the per-chunk API too.
-  if (const core::PrefilterPtr& pf = rules_->prefilter_for(flow->protocol);
+  if (const core::PrefilterPtr& pf = db_->prefilter_for(flow->protocol);
       pf != nullptr &&
       (prefilter_mode_ == core::PrefilterMode::on ||
        (prefilter_mode_ == core::PrefilterMode::automatic && pf->advised()))) {
@@ -84,18 +80,19 @@ void IdsEngine::inspect(std::uint64_t flow_id, pattern::Group protocol, util::By
 
   struct MatchToAlert final : MatchSink {
     AlertSink* out = nullptr;
-    const GroupedRules* rules = nullptr;
+    const std::uint32_t* to_master = nullptr;
+    std::uint64_t generation = 0;
     std::uint64_t flow_id = 0;
     pattern::Group protocol{};
     std::uint64_t emitted = 0;
     void on_match(const Match& m) override {
-      out->on_alert(Alert{flow_id, rules->master_id(protocol, m.pattern_id), m.pos,
-                          protocol, rules->generation()});
+      out->on_alert(Alert{flow_id, to_master[m.pattern_id], m.pos, protocol, generation});
       ++emitted;
     }
   } sink;
   sink.out = &out;
-  sink.rules = rules_.get();
+  sink.to_master = db_->group(flow->protocol).to_master.data();
+  sink.generation = db_->generation();
   sink.flow_id = flow_id;
   sink.protocol = flow->protocol;
 
@@ -168,7 +165,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     // Approximate screen ahead of the exact engine.  `off` never screens;
     // `on` screens whenever the group has a signature; `automatic` screens
     // advised groups, minus the adaptive-bypass stretches.
-    const core::PrefilterPtr& pf = rules_->prefilter_for(group);
+    const core::PrefilterPtr& pf = db_->prefilter_for(group);
     bool engaged = false;
     if (pf != nullptr && prefilter_mode_ != core::PrefilterMode::off) {
       if (prefilter_mode_ == core::PrefilterMode::on) {
@@ -227,9 +224,12 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     // Alerts collect in alerts_ and reach the sink as ONE delivery per group
     // once the scan is done, so a sink's per-call cost (lock, write) is paid
     // per flush rather than per match.
+    const RuleGroup& rg = db_->group(group);
     struct BatchToAlert final : BatchSink {
       const IdsEngine* self = nullptr;
       std::vector<Alert>* out = nullptr;
+      const std::uint32_t* to_master = nullptr;
+      std::uint64_t generation = 0;
       // Maps a scanned-batch packet index back to pending_ (the screened-in
       // subsequence when the prefilter is engaged, all staged views
       // otherwise).
@@ -238,18 +238,20 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
       void on_match(std::uint32_t packet, const Match& m) override {
         const Staged& s = self->pending_[to_staged[packet]];
         if (s.flow->scanner.already_reported(m, s.carry)) return;
-        out->push_back(Alert{s.flow_id, self->rules_->master_id(group, m.pattern_id),
-                             s.base + m.pos, group, self->rules_->generation()});
+        out->push_back(
+            Alert{s.flow_id, to_master[m.pattern_id], s.base + m.pos, group, generation});
       }
     } sink;
     sink.self = this;
     sink.out = &alerts_;
+    sink.to_master = rg.to_master.data();
+    sink.generation = db_->generation();
     sink.to_staged = engaged ? g.passed_staged.data() : g.staged_index.data();
     sink.group = group;
 
     alerts_.clear();
     if (!scan_views.empty()) {
-      rules_->matcher_for(group).scan_batch(scan_views, sink, scratch_[gi]);
+      rg.matcher->scan_batch(scan_views, sink, scratch_[gi]);
     }
     const std::uint64_t emitted = alerts_.size();
     counters_.alerts += emitted;

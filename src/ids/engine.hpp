@@ -1,6 +1,7 @@
-// The end-to-end inspection engine: grouped rules + per-flow streaming scan
-// + alert production.  This is the application layer a NIDS would embed; the
-// examples and integration tests drive it.
+// The end-to-end inspection engine: a compiled database's protocol rule
+// groups + per-flow streaming scan + alert production.  This is the
+// application layer a NIDS would embed; the examples and integration tests
+// drive it.
 #pragma once
 
 #include <array>
@@ -59,27 +60,27 @@ struct EngineTelemetry {
 
 class IdsEngine {
  public:
-  // Compiles protocol groups keyed off a shared database (vpm::compile());
-  // alerts carry db->generation().
+  // Scans with the rule groups of a compiled database (vpm::compile()); the
+  // database is shared immutably (the pipeline hands one to every worker's
+  // engine; scan state lives in per-engine scratch, so concurrent engines
+  // over one database are safe).  Flows borrow their group's matcher and
+  // pattern-length table; the engine's reference keeps them alive while any
+  // flow exists.  Alerts carry db->generation().  Throws
+  // std::invalid_argument on a null database.
   explicit IdsEngine(DatabasePtr db);
+  // The same, through the benchmark-only view (see ids/rule_group.hpp).
+  explicit IdsEngine(const GroupedRulesPtr& rules) : IdsEngine(rules->database()) {}
 
-  // Adopts an already-compiled grouped ruleset.  This is the pipeline's
-  // form: one GroupedRules per ruleset generation, compiled once and shared
-  // immutably by every worker's engine (scan state lives in per-engine
-  // scratch, so concurrent engines over one GroupedRules are safe).  Flows
-  // borrow their group's matcher and pattern-length table from the adopted
-  // rules; the engine's reference keeps them alive while any flow exists.
-  explicit IdsEngine(GroupedRulesPtr rules);
-
-  // Ruleset hot-swap: flushes any staged chunks under the OLD rules
+  // Ruleset hot-swap: flushes any staged chunks under the OLD database
   // (delivering their alerts to `sink`), resets all per-flow stream state —
   // a swap is a clean stream boundary; a pattern spanning the swap point is
-  // attributed to neither generation — then adopts `rules`.  Must not be
-  // called from an AlertSink callback mid-scan.
-  void swap_rules(GroupedRulesPtr rules, AlertSink& sink);
+  // attributed to neither generation — then adopts `db`.  The reset happens
+  // even when `db` is the database already adopted.  Must not be called
+  // from an AlertSink callback mid-scan.
+  void swap_rules(DatabasePtr db, AlertSink& sink);
 
-  // The generation of the currently adopted rules (tags every alert).
-  std::uint64_t generation() const { return rules_->generation(); }
+  // The generation of the currently adopted database (tags every alert).
+  std::uint64_t generation() const { return db_->generation(); }
 
   // Inspects the next payload chunk of `flow_id` (protocol fixed per flow at
   // first sight); delivers alerts to `sink` one on_alert call per alert, as
@@ -127,8 +128,8 @@ class IdsEngine {
   std::size_t active_flows() const { return flows_.size(); }
 
   const EngineCounters& counters() const { return counters_; }
-  const GroupedRules& rules() const { return *rules_; }
-  const GroupedRulesPtr& rules_ptr() const { return rules_; }
+  const Database& database() const { return *db_; }
+  const DatabasePtr& database_ptr() const { return db_; }
 
   // Installs instrumentation handles (copied; the pointed-to instruments must
   // outlive the engine).  Not synchronized against concurrent scans — set it
@@ -164,7 +165,7 @@ class IdsEngine {
 
   FlowState& flow_for(std::uint64_t flow_id, pattern::Group protocol);
 
-  GroupedRulesPtr rules_;
+  DatabasePtr db_;
   // Open-addressing flow table (util::FlowTable): flat probing instead of
   // per-node chasing, stable FlowState pointers for Staged::flow, and the
   // structure the pipeline's bounded-step idle eviction scales on.

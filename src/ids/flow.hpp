@@ -19,7 +19,8 @@ class StreamScanner {
  public:
   // `matcher` and `pattern_lengths` (pattern id -> byte length) are
   // borrowed and must outlive the scanner — IdsEngine takes both from its
-  // GroupedRules, so flows share the group's table instead of copying it;
+  // Database's RuleGroup, so flows share the group's table instead of
+  // copying it;
   // `max_pattern_len` bounds the carry.
   StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
                 std::span<const std::uint32_t> pattern_lengths);

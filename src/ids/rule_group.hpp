@@ -1,84 +1,37 @@
-// Protocol rule groups (paper §V-A): "patterns are organized in groups,
-// depending on the type of traffic they refer to. When traffic arrives ...
-// the reassembled payload is matched only against patterns that are relevant
-// (e.g. if the stream has HTTP traffic, it is checked against HTTP related
-// patterns, as well as more general patterns)".
+// A read-only view of a Database's protocol rule groups.  The group tables
+// themselves are built by vpm::compile() and live in the Database
+// (Database::group()); this view compiles nothing.
 //
-// GroupedRules builds one matcher per protocol, each over that protocol's
-// patterns plus the generic ones.  Pattern ids reported by group matchers
-// are LOCAL to the group's PatternSet; the mapping back to the master set is
-// provided for alert rendering.
-//
-// A GroupedRules is an immutable compiled artifact once built: matcher_for()
-// and every accessor are const and thread-safe (scan state lives in
-// caller-owned ScanScratch), so one instance can back any number of engine
-// instances across threads — the pipeline shares one GroupedRulesPtr per
-// ruleset generation among all workers instead of compiling per worker.
-// It is always keyed off a compiled Database: the stored ref keeps the
-// master pattern bytes alive and supplies the algorithm, the per-group
-// prefilters and the generation id alerts are tagged with.
+// Kept only because the sensor benchmark's traced replay
+// (sensorbench/src/traced.cpp) names it.  Nothing else may use it: the next
+// benchmark change moves traced.cpp onto Database::group() and deletes this
+// header.
 #pragma once
 
-#include <array>
 #include <memory>
-#include <span>
-#include <vector>
+#include <stdexcept>
 
 #include "core/database.hpp"
-#include "core/matcher_factory.hpp"
-#include "pattern/pattern_set.hpp"
 
 namespace vpm::ids {
 
-class GroupedRules;
-using GroupedRulesPtr = std::shared_ptr<const GroupedRules>;
-
 class GroupedRules {
  public:
-  // Keys the group matchers off `db` (master patterns + algorithm); the
-  // stored ref keeps the database alive.  Throws std::invalid_argument on a
-  // null database.
-  explicit GroupedRules(DatabasePtr db);
+  // Throws std::invalid_argument on a null database.
+  explicit GroupedRules(DatabasePtr db) : db_(std::move(db)) {
+    if (db_ == nullptr) throw std::invalid_argument("GroupedRules: null database");
+  }
 
-  // The ruleset generation alerts produced through these rules carry.
-  std::uint64_t generation() const { return db_->generation(); }
-
-  // The matcher for traffic of protocol `g` (http/dns/ftp/smtp/generic).
-  const Matcher& matcher_for(pattern::Group g) const { return *entries_[index(g)].matcher; }
-  const pattern::PatternSet& patterns_for(pattern::Group g) const {
-    return entries_[index(g)].patterns;
-  }
-  // Maps a group-local pattern id back to the master-set id.
-  std::uint32_t master_id(pattern::Group g, std::uint32_t local_id) const {
-    return entries_[index(g)].to_master[local_id];
-  }
-  std::size_t max_pattern_length(pattern::Group g) const {
-    return entries_[index(g)].max_len;
-  }
-  // Group-local pattern id -> byte length.  Flow scanners borrow this table
-  // (no per-flow copy), so it lives as long as these rules.
-  std::span<const std::uint32_t> pattern_lengths(pattern::Group g) const {
-    return entries_[index(g)].lengths;
-  }
-  // The group's approximate q-gram signature (null = no usable signature),
-  // taken from the backing Database, so a deserialized artifact screens with
-  // the exact saved signature.
+  const Matcher& matcher_for(pattern::Group g) const { return *db_->group(g).matcher; }
   const core::PrefilterPtr& prefilter_for(pattern::Group g) const {
     return db_->prefilter_for(g);
   }
+  const DatabasePtr& database() const { return db_; }
 
  private:
-  static std::size_t index(pattern::Group g) { return static_cast<std::size_t>(g); }
-
-  struct Entry {
-    pattern::PatternSet patterns;
-    std::vector<std::uint32_t> to_master;
-    std::vector<std::uint32_t> lengths;
-    MatcherPtr matcher;
-    std::size_t max_len = 0;
-  };
   DatabasePtr db_;
-  std::array<Entry, static_cast<std::size_t>(pattern::Group::count)> entries_;
 };
+
+using GroupedRulesPtr = std::shared_ptr<const GroupedRules>;
 
 }  // namespace vpm::ids

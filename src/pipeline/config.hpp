@@ -87,13 +87,8 @@ struct PipelineConfig {
   // worker_cpus.size()] at startup.  Empty = no pinning (the default; the
   // scheduler places threads).  Fill from --cpu-list, or from
   // capture::CpuTopology for NUMA-interleaved placement.
+  // Every worker scans the one shared compiled database, wherever it runs.
   std::vector<int> worker_cpus;
-  // With pinning in effect, compile one GroupedRules instance per distinct
-  // NUMA node the pinned workers land on (instead of one shared instance),
-  // so each socket scans its node-local copy of the compiled arena, at
-  // construction and on every swap_database().  Ignored (single shared
-  // instance) when worker_cpus is empty or the host has one node.
-  bool numa_replicate_rules = false;
 
   net::ReassemblyLimits reassembly{};
 

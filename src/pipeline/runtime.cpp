@@ -1,63 +1,21 @@
 #include "pipeline/runtime.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
-#include "capture/topology.hpp"
 #include "util/failpoint.hpp"
 
 namespace vpm::pipeline {
-
-namespace {
-
-// Worker i -> ruleset-replica slot.  Without NUMA replication every worker
-// reads slot 0.  With it, workers pinned to CPUs of the same NUMA node share
-// a slot; slots are numbered in first-seen order so slot 0 is always
-// populated.
-std::vector<std::size_t> compute_worker_slots(const PipelineConfig& cfg) {
-  std::vector<std::size_t> slots(cfg.workers, 0);
-  if (!cfg.numa_replicate_rules || cfg.worker_cpus.empty()) return slots;
-  const capture::CpuTopology topo = capture::CpuTopology::detect();
-  std::vector<int> seen_nodes;
-  for (unsigned i = 0; i < cfg.workers; ++i) {
-    const int cpu = cfg.worker_cpus[i % cfg.worker_cpus.size()];
-    const int node = std::max(topo.node_of(cpu), 0);
-    std::size_t slot = seen_nodes.size();
-    for (std::size_t s = 0; s < seen_nodes.size(); ++s) {
-      if (seen_nodes[s] == node) {
-        slot = s;
-        break;
-      }
-    }
-    if (slot == seen_nodes.size()) seen_nodes.push_back(node);
-    slots[i] = slot;
-  }
-  return slots;
-}
-
-}  // namespace
 
 PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg) : cfg_(cfg) {
   if (db == nullptr) throw std::invalid_argument("PipelineRuntime: null database");
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.batch_packets == 0) cfg_.batch_packets = 1;
-  worker_slot_ = compute_worker_slots(cfg_);
-  std::size_t num_slots = 1;
-  for (const std::size_t s : worker_slot_) num_slots = std::max(num_slots, s + 1);
-
-  // Every slot gets its own GroupedRules compiled off the database — same
-  // generation (it comes from the database), node-local matcher tables.
-  rules_channels_.reserve(num_slots);
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    rules_channels_.push_back(std::make_unique<RulesChannel>());
-    rules_channels_.back()->set_initial(std::make_shared<const ids::GroupedRules>(db));
-  }
+  rules_.set_initial(db);
 
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
-    RulesChannel* channel = rules_channels_[worker_slot_[i]].get();
-    workers_.push_back(std::make_unique<Worker>(channel->current(), cfg_, channel));
+    workers_.push_back(std::make_unique<Worker>(db, cfg_, &rules_));
     if (!cfg_.worker_cpus.empty()) {
       workers_.back()->set_cpu(cfg_.worker_cpus[i % cfg_.worker_cpus.size()]);
     }
@@ -81,21 +39,14 @@ void PipelineRuntime::swap_database(DatabasePtr db) {
     throw std::runtime_error(
         "PipelineRuntime::swap_database: injected publish failure (failpoint)");
   }
-  // Control-plane compile (one per replica slot; every replica reports the
-  // database's generation); the scan path never blocks on it.  publish()
-  // orders the slot write before the seq bump, pairing with the workers'
-  // seq-then-slot reads: observing the bump implies observing the rules.
-  // Publications to the per-node channels are not atomic as a set, but
-  // adoption was already per-worker at batch boundaries, so the swap
-  // contract (every alert tagged with the generation that produced it) is
-  // unchanged.
-  for (auto& channel : rules_channels_) {
-    channel->publish(std::make_shared<const ids::GroupedRules>(db));
-  }
+  // publish() orders the slot write before the seq bump, pairing with the
+  // workers' seq-then-slot reads: observing the bump implies observing the
+  // database.
+  rules_.publish(std::move(db));
 }
 
 std::uint64_t PipelineRuntime::generation() const {
-  return rules_channels_.front()->current()->generation();
+  return rules_.current()->generation();
 }
 
 void PipelineRuntime::quiesce() {

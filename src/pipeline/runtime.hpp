@@ -18,17 +18,20 @@
 // workers and per-flow order is preserved through the FIFO rings.  The
 // differential test suite enforces this across worker counts and algorithms.
 //
-// Hot-swap contract: swap_database() compiles the new grouped ruleset on the
-// calling thread (control plane), publishes it RCU-style (shared_ptr store +
-// sequence bump; no locks on the scan path), and every worker adopts it at a
-// batch boundary.  No packet is dropped by a swap: packets in flight finish
+// Hot-swap contract: swap_database() compiles nothing — the database arrives
+// fully built from vpm::compile() — it publishes it RCU-style (shared_ptr
+// store + sequence bump; no locks on the scan path), and every worker adopts
+// it at a batch boundary.  No packet is dropped by a swap: packets in flight finish
 // under the generation that was current when their batch was popped, and
 // every alert is tagged with the generation that produced it.  A swap is a
 // clean stream boundary (per-flow carry resets), so a pattern spanning the
 // swap point is attributed to neither generation.  The old generation's
-// compiled tables are freed when the last worker adopts the new one.  For an
-// exact packet partition between generations, quiesce() before swapping —
-// pipeline_swap_test pins that recipe against single-threaded references.
+// compiled tables are freed when the last worker adopts the new one.
+// Publishing the database a worker already runs is a no-op for that worker:
+// no carry reset and no rules_swaps increment (a pattern spanning the
+// re-publish point still alerts once).  For an exact packet partition
+// between generations, quiesce() before swapping — pipeline_swap_test pins
+// that recipe against single-threaded references.
 #pragma once
 
 #include <atomic>
@@ -48,11 +51,9 @@ namespace vpm::pipeline {
 
 class PipelineRuntime {
  public:
-  // Builds the shared grouped ruleset from `db` (one compile, shared
-  // read-only by every worker — not one compile per worker) and one
-  // reassembler/engine pair per worker; the database fixes the engine
-  // algorithm.  Worker counts are clamped to >= 1.  Throws
-  // std::invalid_argument on a null database.
+  // Shares `db` read-only with every worker (nothing is compiled per worker)
+  // and builds one reassembler/engine pair per worker.  Worker counts are
+  // clamped to >= 1.  Throws std::invalid_argument on a null database.
   PipelineRuntime(DatabasePtr db, PipelineConfig cfg = {});
 
   ~PipelineRuntime();  // stops and joins if still running
@@ -81,8 +82,8 @@ class PipelineRuntime {
   void flush();
 
   // Publishes a new compiled database to every worker (zero-drop ruleset
-  // hot-swap).  Compiles the grouped ruleset here, on the calling thread;
-  // workers adopt at their next batch boundary.  Callable from any thread,
+  // hot-swap); workers adopt at their next batch boundary.  Builds nothing:
+  // every group engine was built by compile().  Callable from any thread,
   // before or while running; with concurrent callers the last publication
   // wins.  Throws std::invalid_argument on a null database.
   void swap_database(DatabasePtr db);
@@ -114,19 +115,11 @@ class PipelineRuntime {
   // stop(); empty when cfg.alert_sink routed alerts elsewhere.
   const std::vector<ids::Alert>& alerts() const { return alerts_; }
 
-  // Ruleset replicas backing the workers: 1 normally; one per NUMA node
-  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set
-  // (replicas share the master pattern bytes through the database but carry
-  // node-local compiled matcher tables).
-  std::size_t rules_replicas() const { return rules_channels_.size(); }
-
  private:
   PipelineConfig cfg_;
-  // One channel per ruleset replica.  Slot 0 always exists; worker i reads
-  // worker_slot_[i].  unique_ptr: RulesChannel holds atomics/mutex and must
-  // not move once workers hold pointers into it.
-  std::vector<std::unique_ptr<RulesChannel>> rules_channels_;
-  std::vector<std::size_t> worker_slot_;
+  // Every worker reads this channel; it never moves (the runtime is not
+  // movable), so workers may hold a pointer to it.
+  RulesChannel rules_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<Watchdog> watchdog_;  // null when cfg.watchdog_interval_ms == 0

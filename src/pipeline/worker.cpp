@@ -33,7 +33,7 @@ void GuardedSink::on_alerts(std::span<const ids::Alert> alerts) {
   }
 }
 
-Worker::Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
+Worker::Worker(DatabasePtr db, const PipelineConfig& cfg,
                const RulesChannel* swaps)
     : cfg_(cfg),
       ring_(cfg.ring_batches > 0 ? cfg.ring_batches : 1),
@@ -50,7 +50,7 @@ Worker::Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
                           chunk.data, *sink_);
           },
           cfg.reassembly),
-      engine_(std::move(rules)),
+      engine_(std::move(db)),
       guarded_sink_(cfg.alert_sink != nullptr ? cfg.alert_sink : &buffer_sink_,
                     cfg.sink_quarantine_after),
       sink_(&guarded_sink_),
@@ -247,12 +247,14 @@ void Worker::maybe_adopt_rules() {
   // mutex is touched only when a publication actually happened.
   const std::uint64_t seq = swaps_->sequence();
   if (seq == adopted_seq_) return;
-  ids::GroupedRulesPtr rules = swaps_->current();
+  DatabasePtr db = swaps_->current();
   adopted_seq_ = seq;
-  if (rules == nullptr || rules == engine_.rules_ptr()) return;
+  // Re-publishing the generation this worker already runs is a no-op: no
+  // carry reset, no swap counted.
+  if (db == nullptr || db == engine_.database_ptr()) return;
   // Flushes staged chunks under the old generation, then retires this
   // worker's reference to it (the last adopter destroys it).
-  engine_.swap_rules(std::move(rules), *sink_);
+  engine_.swap_rules(std::move(db), *sink_);
   ++swaps_adopted_;
   published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
   published_.rules_swaps.store(swaps_adopted_, std::memory_order_relaxed);

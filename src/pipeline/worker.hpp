@@ -3,9 +3,9 @@
 //
 // Shared-nothing on the hot path: the worker's flow tables, scratch, and
 // alert buffer are touched only by its thread; the ring, the atomic counter
-// mirror, and the read-only shared compiled ruleset (GroupedRulesPtr — one
-// instance per generation, shared by every worker instead of compiled per
-// worker) are the only cross-thread state.  Flow ids are the stable
+// mirror, and the read-only shared compiled database (DatabasePtr — one
+// per generation, shared by every worker instead of compiled per worker)
+// are the only cross-thread state.  Flow ids are the stable
 // flow_key (tuple hash), so a worker's alerts are bitwise what a
 // single-threaded engine would emit for the same flows.
 //
@@ -14,6 +14,7 @@
 // polls the sequence — one lock-free atomic load per loop iteration; the
 // scan path never takes a lock — and adopts the new rules at a batch
 // boundary: after popping a batch and before processing it, or while idle.
+// A worker already running the published database skips it (no reset).
 // The ring's release-push/acquire-pop pairing guarantees a batch pushed
 // after a publish is never processed under the old rules.  The old
 // generation is retired (destroyed) when the last worker drops its
@@ -51,34 +52,34 @@ namespace vpm::pipeline {
 // shared_ptr>, whose libstdc++ lock-bit protocol ThreadSanitizer cannot see
 // through and reports as a race).  Writer order: slot under the mutex, then
 // seq bump (release); readers load seq (acquire), then the slot — observing
-// the bump therefore implies observing the new rules.
+// the bump therefore implies observing the new database.
 class RulesChannel {
  public:
   std::uint64_t sequence() const { return seq_.load(std::memory_order_acquire); }
 
-  ids::GroupedRulesPtr current() const {
+  DatabasePtr current() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return slot_;
   }
 
-  // Publishes without bumping seq (the initial ruleset workers are born
+  // Publishes without bumping seq (the initial database workers are born
   // with).
-  void set_initial(ids::GroupedRulesPtr rules) {
+  void set_initial(DatabasePtr db) {
     std::lock_guard<std::mutex> lock(mutex_);
-    slot_ = std::move(rules);
+    slot_ = std::move(db);
   }
 
-  void publish(ids::GroupedRulesPtr rules) {
+  void publish(DatabasePtr db) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      slot_ = std::move(rules);
+      slot_ = std::move(db);
     }
     seq_.fetch_add(1, std::memory_order_release);
   }
 
  private:
   mutable std::mutex mutex_;
-  ids::GroupedRulesPtr slot_;
+  DatabasePtr slot_;
   std::atomic<std::uint64_t> seq_{0};
 };
 
@@ -116,9 +117,9 @@ class GuardedSink final : public ids::AlertSink {
 
 class Worker {
  public:
-  // Adopts `rules` (a shared compiled ruleset; no per-worker compile) and
-  // watches `swaps` (may be null: hot-swap disabled) for new generations.
-  Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
+  // Scans with `db` (shared, never compiled per worker) and watches `swaps`
+  // (may be null: hot-swap disabled) for new generations.
+  Worker(DatabasePtr db, const PipelineConfig& cfg,
          const RulesChannel* swaps = nullptr);
   ~Worker();
 

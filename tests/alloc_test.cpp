@@ -20,6 +20,7 @@
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "pattern/ruleset_gen.hpp"
+#include "pipeline/runtime.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson_sink.hpp"
 #include "util/failpoint.hpp"
@@ -192,7 +193,7 @@ TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
 }
 
 // Opening a flow must not copy rule tables: every flow's scanner borrows its
-// group's pattern-length table from the shared GroupedRules, so a new flow
+// group's pattern-length table from the shared Database, so a new flow
 // costs one allocation — its flow-table cell, holding the scanner and the
 // still-empty stream buffer — and nothing that grows with the ruleset.  With
 // an S2-sized ruleset a per-flow copy of the http group's table would be
@@ -201,7 +202,7 @@ TEST(AllocTest, OpeningFlowDoesNotCopyRuleTables) {
   ids::IdsEngine engine(vpm::compile(core::Algorithm::vpatch,
                                      pattern::generate_ruleset(pattern::s2_config())));
   engine.set_prefilter_mode(core::PrefilterMode::off);
-  ASSERT_GT(engine.rules().pattern_lengths(pattern::Group::http).size(), 5000u);
+  ASSERT_GT(engine.database().group(pattern::Group::http).lengths.size(), 5000u);
   CountingAlertSink sink;
 
   constexpr std::uint64_t kFlows = 1024;
@@ -214,7 +215,7 @@ TEST(AllocTest, OpeningFlowDoesNotCopyRuleTables) {
   // every flow but keeps the slot array, so the measured opens below pay for
   // flows only, not for table growth.
   open_flows(0);
-  engine.swap_rules(engine.rules_ptr(), sink);
+  engine.swap_rules(engine.database_ptr(), sink);
   ASSERT_EQ(engine.active_flows(), 0u);
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -223,6 +224,24 @@ TEST(AllocTest, OpeningFlowDoesNotCopyRuleTables) {
   EXPECT_EQ(engine.active_flows(), kFlows);
   EXPECT_LE(after - before, kFlows) << "opening " << kFlows << " flows made "
                                     << after - before << " allocations";
+}
+
+// A ruleset hot-swap only publishes: every rule group's engine was built by
+// compile(), so swap_database() builds no matcher and makes at most a
+// handful of allocations.  The runtime is never started, so no worker thread
+// allocates concurrently (adoption would happen on the workers anyway).
+TEST(AllocTest, SwapDatabaseBuildsNoMatcher) {
+  const auto rules = pattern::generate_ruleset(pattern::s2_config());
+  const DatabasePtr db1 = vpm::compile(core::Algorithm::vpatch, rules);
+  const DatabasePtr db2 = vpm::compile(core::Algorithm::vpatch, rules);
+  pipeline::PipelineRuntime rt(db1, {});
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  rt.swap_database(db2);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(rt.generation(), db2->generation());
+  EXPECT_LE(after - before, 4u) << "swap_database made " << after - before
+                                << " allocations";
 }
 
 // A flush-batch delivery into the NDJSON sink — per-thread line buffer,

@@ -340,9 +340,6 @@ TEST(Topology, DetectAtFabricatedSysfs) {
   ASSERT_EQ(topo.nodes.size(), 2u);
   EXPECT_EQ(topo.nodes[0].cpus, (std::vector<int>{0, 2}));
   EXPECT_EQ(topo.nodes[1].cpus, (std::vector<int>{1, 3}));
-  EXPECT_EQ(topo.node_of(2), 0);
-  EXPECT_EQ(topo.node_of(3), 1);
-  EXPECT_EQ(topo.node_of(99), -1);
   EXPECT_EQ(topo.all_cpus(), (std::vector<int>{0, 1, 2, 3}));
   // --numa=auto placement: alternate sockets, node order within each rank.
   EXPECT_EQ(topo.interleaved_cpus(), (std::vector<int>{0, 1, 2, 3}));

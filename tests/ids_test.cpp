@@ -6,7 +6,6 @@
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "ids/flow.hpp"
-#include "ids/rule_group.hpp"
 
 namespace vpm::ids {
 namespace {
@@ -103,7 +102,7 @@ TEST(StreamScanner, ResetForgetsHistory) {
   EXPECT_TRUE(sink.matches().empty());
 }
 
-// ---- GroupedRules -------------------------------------------------------------
+// ---- Database rule groups ---------------------------------------------------
 
 pattern::PatternSet grouped_set() {
   pattern::PatternSet set;
@@ -114,36 +113,36 @@ pattern::PatternSet grouped_set() {
   return set;
 }
 
-TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
+TEST(DatabaseGroups, HttpGroupSeesHttpAndGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(vpm::compile(core::Algorithm::spatch, master));
-  const auto& http = rules.patterns_for(pattern::Group::http);
+  const DatabasePtr db = vpm::compile(core::Algorithm::spatch, master);
+  const auto& http = db->group(pattern::Group::http).patterns;
   EXPECT_EQ(http.size(), 2u);
   EXPECT_TRUE(http.contains(util::as_view("GET /evil"), false));
   EXPECT_TRUE(http.contains(util::as_view("generic-attack"), false));
   EXPECT_FALSE(http.contains(util::as_view("EHLO spam"), false));
 }
 
-TEST(GroupedRules, GenericGroupSeesOnlyGeneric) {
+TEST(DatabaseGroups, GenericGroupSeesOnlyGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(vpm::compile(core::Algorithm::spatch, master));
-  EXPECT_EQ(rules.patterns_for(pattern::Group::generic).size(), 1u);
+  const DatabasePtr db = vpm::compile(core::Algorithm::spatch, master);
+  EXPECT_EQ(db->group(pattern::Group::generic).patterns.size(), 1u);
 }
 
-TEST(GroupedRules, MasterIdMappingRoundTrips) {
+TEST(DatabaseGroups, MasterIdMappingRoundTrips) {
   const auto master = grouped_set();
-  const GroupedRules rules(vpm::compile(core::Algorithm::spatch, master));
-  const auto& smtp = rules.patterns_for(pattern::Group::smtp);
-  for (std::uint32_t local = 0; local < smtp.size(); ++local) {
-    const auto master_id = rules.master_id(pattern::Group::smtp, local);
-    EXPECT_EQ(master[master_id].bytes, smtp[local].bytes);
+  const DatabasePtr db = vpm::compile(core::Algorithm::spatch, master);
+  const RuleGroup& smtp = db->group(pattern::Group::smtp);
+  for (std::uint32_t local = 0; local < smtp.patterns.size(); ++local) {
+    const auto master_id = smtp.to_master[local];
+    EXPECT_EQ(master[master_id].bytes, smtp.patterns[local].bytes);
   }
 }
 
-TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
+TEST(DatabaseGroups, HttpMatcherIgnoresSmtpPattern) {
   const auto master = grouped_set();
-  const GroupedRules rules(vpm::compile(core::Algorithm::spatch, master));
-  const auto& m = rules.matcher_for(pattern::Group::http);
+  const DatabasePtr db = vpm::compile(core::Algorithm::spatch, master);
+  const Matcher& m = *db->group(pattern::Group::http).matcher;
   EXPECT_EQ(m.count_matches(util::as_view("EHLO spam")), 0u);
   EXPECT_EQ(m.count_matches(util::as_view("GET /evil generic-attack")), 2u);
 }

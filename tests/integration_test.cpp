@@ -82,8 +82,8 @@ TEST(Integration, IdsEngineMatchesWholeStreamScan) {
   }
 
   // Reference: direct scan with the http group's matcher.
-  const ids::GroupedRules& rules = engine.rules();
-  const auto direct = rules.matcher_for(pattern::Group::http).find_matches(stream);
+  const RuleGroup& http = engine.database().group(pattern::Group::http);
+  const auto direct = http.matcher->find_matches(stream);
   ASSERT_EQ(alerts.size(), direct.size());
   std::vector<Match> from_alerts;
   for (const ids::Alert& a : alerts) {
@@ -92,7 +92,7 @@ TEST(Integration, IdsEngineMatchesWholeStreamScan) {
   }
   std::vector<Match> expected;
   for (const Match& m : direct) {
-    expected.push_back({rules.master_id(pattern::Group::http, m.pattern_id), m.pos});
+    expected.push_back({http.to_master[m.pattern_id], m.pos});
   }
   std::sort(from_alerts.begin(), from_alerts.end());
   std::sort(expected.begin(), expected.end());

@@ -667,10 +667,10 @@ TEST(PcapPipeline, EndToEndMatchesDirectScan) {
   EXPECT_EQ(result.reassembly_drops, 0u);
 
   // Ground truth: scan each stream directly with the http-group matcher.
-  const GroupedRules grouped(vpm::compile(core::Algorithm::vpatch, rules));
+  const DatabasePtr db = vpm::compile(core::Algorithm::vpatch, rules);
   std::size_t expected = 0;
   for (const auto& s : repacked.streams) {
-    expected += grouped.matcher_for(pattern::Group::http).count_matches(s);
+    expected += db->group(pattern::Group::http).matcher->count_matches(s);
   }
   EXPECT_EQ(result.alerts.size(), expected);
   // The planted marker must be among the alerts.

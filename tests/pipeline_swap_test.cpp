@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,7 +88,7 @@ using SwapPoint = std::pair<std::size_t, DatabasePtr>;
 std::vector<ids::Alert> reference_with_swaps(const std::vector<net::Packet>& packets,
                                              const DatabasePtr& db_initial,
                                              const std::vector<SwapPoint>& swaps) {
-  ids::IdsEngine engine(std::make_shared<const ids::GroupedRules>(db_initial));
+  ids::IdsEngine engine(db_initial);
   std::vector<ids::Alert> alerts;
   ids::AlertBuffer sink(alerts);
   net::TcpReassembler reassembler([&](const net::StreamChunk& chunk) {
@@ -101,7 +102,7 @@ std::vector<ids::Alert> reference_with_swaps(const std::vector<net::Packet>& pac
   for (std::size_t i = 0; i < packets.size(); ++i) {
     for (const SwapPoint& s : swaps) {
       if (i == s.first) {
-        engine.swap_rules(std::make_shared<const ids::GroupedRules>(s.second), sink);
+        engine.swap_rules(s.second, sink);
       }
     }
     const net::Packet& p = packets[i];
@@ -235,6 +236,54 @@ TEST(PipelineSwapExtra, BackToBackSwapsPartitionExactly) {
   std::sort(actual.begin(), actual.end());
   EXPECT_EQ(actual, expected) << testutil::seed_note();
   EXPECT_EQ(rt.stats().totals().rules_swaps, 2u);
+}
+
+// Re-publishing the database a worker already runs is a no-op for that
+// worker: no carry reset and no rules_swaps increment, so a pattern spanning
+// the re-publish point still alerts exactly once.  Publishing a recompile of
+// the same rules (a distinct generation) is a real swap: the carry resets
+// and the spanning pattern is attributed to neither generation.
+TEST(PipelineSwapExtra, RepublishingTheRunningDatabaseIsANoOp) {
+  const DatabasePtr db_a = compile(core::Algorithm::vpatch, ruleset_a());
+  const DatabasePtr db_a2 = compile(core::Algorithm::vpatch, ruleset_a());
+  const auto segment = [](std::uint32_t seq, std::string_view text) {
+    net::Packet p;
+    p.tuple.src_ip = 0x0A000001;
+    p.tuple.dst_ip = 0xC0A80001;
+    p.tuple.src_port = 40000;
+    p.tuple.dst_port = 80;
+    p.tcp_seq = seq;
+    p.payload = util::to_bytes(text);
+    return p;
+  };
+  const std::string_view head = "xx /etc/pa";  // "/etc/passwd" spans the segments
+  const std::string_view tail = "sswd yy";
+
+  for (const DatabasePtr& published : {db_a, db_a2}) {
+    const bool republish = published == db_a;
+    PipelineConfig cfg;
+    cfg.workers = 1;
+    cfg.batch_packets = 1;
+    PipelineRuntime rt(db_a, cfg);
+    rt.start();
+    rt.submit(segment(1000, head));
+    rt.quiesce();
+    rt.swap_database(published);
+    rt.submit(segment(1000 + static_cast<std::uint32_t>(head.size()), tail));
+    rt.stop();
+
+    const PipelineStats stats = rt.stats();
+    EXPECT_EQ(stats.totals().rules_swaps, republish ? 0u : 1u);
+    EXPECT_EQ(stats.totals().rules_generation, published->generation());
+    if (republish) {
+      ASSERT_EQ(rt.alerts().size(), 1u);
+      const ids::Alert& alert = rt.alerts().front();
+      EXPECT_EQ(db_a->patterns()[alert.pattern_id].bytes, util::to_bytes("/etc/passwd"));
+      EXPECT_EQ(alert.generation, db_a->generation());
+    } else {
+      EXPECT_TRUE(rt.alerts().empty()) << "a real swap must reset the flow's carry";
+    }
+  }
 }
 
 // Concurrent publication stress (the TSan target): a control thread swaps
