@@ -1,7 +1,9 @@
 // Compile-path latency: how long vpm::compile() takes to turn a rule set
 // into an immutable Database, per algorithm and ruleset size, plus the
 // compiled footprint (Database::memory_bytes — whole-set and per-group
-// engine tables, prefilters, owned pattern copies).  compile_ms includes
+// engine tables, prefilters, owned pattern copies; memory_bytes counts the
+// whole-set engine only once built, and it is built here before the
+// footprint is read).  compile_ms includes
 // building every rule group's engine and prefilter, which compile() does
 // eagerly, plus the whole-set engine touched below.  This is the whole
 // control-plane cost of a hot-swap (swap_database itself only publishes),

@@ -12,6 +12,7 @@
 // waste on the hot path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -21,13 +22,17 @@ namespace vpm::core {
 
 // Grow-only array of uninitialized trivially-copyable storage.  Growth
 // discards previous contents (callers fill from scratch after ensure()).
+// A reused array grows at least geometrically: batch byte totals depend on
+// content (stream carries vary), and a need that creeps past the high-water
+// mark must not reallocate on every batch.
 template <class T>
 class UninitArray {
  public:
   void ensure(std::size_t need) {
     if (capacity_ < need) {
-      data_ = std::make_unique_for_overwrite<T[]>(need);
-      capacity_ = need;
+      const std::size_t grown = std::max(need, 2 * capacity_);
+      data_ = std::make_unique_for_overwrite<T[]>(grown);
+      capacity_ = grown;
     }
   }
   T* data() { return data_.get(); }

@@ -70,13 +70,18 @@ Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patte
 }
 
 const Matcher& Database::engine() const {
-  std::call_once(engine_once_,
-                 [this] { engine_ = core::make_matcher(algorithm_, patterns_); });
+  std::call_once(engine_once_, [this] {
+    engine_ = core::make_matcher(algorithm_, patterns_);
+    engine_built_.store(true, std::memory_order_release);
+  });
   return *engine_;
 }
 
 std::size_t Database::memory_bytes() const {
-  std::size_t bytes = engine().memory_bytes() + pattern_bytes(patterns_);
+  std::size_t bytes = pattern_bytes(patterns_);
+  // The acquire pairs with engine()'s release: engine_ is complete once the
+  // flag reads true.
+  if (engine_built_.load(std::memory_order_acquire)) bytes += engine_->memory_bytes();
   for (const RuleGroup& rg : groups_) {
     bytes += rg.matcher->memory_bytes() + pattern_bytes(rg.patterns) +
              (rg.to_master.capacity() + rg.lengths.capacity()) * sizeof(std::uint32_t);

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -66,8 +67,11 @@ class Database {
   core::Algorithm algorithm() const { return algorithm_; }
   std::string_view algorithm_name() const { return core::algorithm_name(algorithm_); }
   std::size_t pattern_count() const { return patterns_.size(); }
-  // Whole-set engine, group engines and tables, prefilters, and the owned
-  // pattern storage.
+  // Group engines and tables, prefilters, the owned pattern storage, and
+  // the whole-set engine if engine() has built it.  Never builds that
+  // engine: the IDS path does not use it, and building it only to measure
+  // it can cost more than everything else here (S2 on compact AC: 24 MB).
+  // Safe to call concurrently with a first engine() call.
   std::size_t memory_bytes() const;
 
   // Process-monotonic compile id (never reused; assigned per compile()).
@@ -136,6 +140,7 @@ class Database {
   pattern::PatternSet patterns_;  // outlives engine_: the engine is built over it
   mutable std::once_flag engine_once_;
   mutable MatcherPtr engine_;  // lazily built; logically part of the const artifact
+  mutable std::atomic<bool> engine_built_{false};  // set once engine_ is complete
   std::array<RuleGroup, static_cast<std::size_t>(pattern::Group::count)> groups_;
   core::GroupPrefilters prefilters_;
   core::Algorithm algorithm_;

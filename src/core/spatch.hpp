@@ -48,6 +48,8 @@ class SpatchMatcher final : public Matcher {
 
   void scan(util::ByteView data, MatchSink& sink) const override;
   std::string_view name() const override { return "S-PATCH"; }
+  // Round one passes every long-prefix position (F2/F3 index prefixes only).
+  bool reports_open() const override { return true; }
   std::size_t memory_bytes() const override {
     return bank_.memory_bytes() + verifier_.memory_bytes();
   }

@@ -209,12 +209,15 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
   const auto emit = [&sink](std::uint32_t packet, const Match& m) {
     sink.on_match(packet, m);
   };
+  const auto open = [&sink](std::uint32_t packet, std::size_t pos) {
+    sink.on_open(packet, pos);
+  };
   verifier_.short_table().verify_flat(payloads, st.buffers.short_pos.data(),
                                       st.short_item.data(), st.buffers.n_short, emit);
   verifier_.long_table().verify_flat(payloads, st.buffers.long_pos.data(),
                                      st.long_item.data(), st.buffers.n_long,
                                      st.entry_begin.data(), st.entry_end.data(),
-                                     st.window4.data(), emit);
+                                     st.window4.data(), emit, open);
 }
 
 VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,

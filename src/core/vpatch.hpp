@@ -66,6 +66,8 @@ class VpatchMatcher final : public Matcher {
   void scan_batch(std::span<const util::ByteView> payloads, BatchSink& sink,
                   ScanScratch& scratch) const override;
   std::string_view name() const override;
+  // Round one passes every long-prefix position (F2/F3 index prefixes only).
+  bool reports_open() const override { return true; }
   std::size_t memory_bytes() const override {
     return bank_.memory_bytes() + verifier_.memory_bytes();
   }

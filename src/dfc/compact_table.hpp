@@ -89,12 +89,16 @@ class LongTable {
   // occupancy around one entry for 20 K patterns.
   explicit LongTable(const pattern::PatternSet& set, unsigned bucket_bits_log2 = 15);
 
+  // Reports every long pattern matching at data[pos..], and pos through
+  // sink.on_open when a pattern's prefix runs off the end of data (see
+  // MatchSink).
   void verify_at(util::ByteView data, std::size_t pos, MatchSink& sink) const {
     if (pos + 4 > data.size()) return;  // no long pattern can fit
     const std::uint32_t window = util::load_u32(data.data() + pos);
     const std::uint32_t bucket = util::multiplicative_hash(window, bucket_bits_log2_);
     verify_entries(data, pos, window, offsets_[bucket], offsets_[bucket + 1],
-                   [&](const Match& m) { sink.on_match(m); });
+                   [&](const Match& m) { sink.on_match(m); },
+                   [&](std::size_t p) { sink.on_open(p); });
   }
 
   // Batched deferred verification (round two of the batch fast path), by
@@ -113,11 +117,13 @@ class LongTable {
   // L1/L2-resident, so the re-walks are cheap.
   //
   // Equivalent to calling verify_at per candidate: candidate k is
-  // positions[k] within payloads[item[k]]; emit(item[k], Match).
-  template <class Emit>
+  // positions[k] within payloads[item[k]]; emit(item[k], Match) and
+  // open(item[k], position).
+  template <class Emit, class Open>
   void verify_flat(std::span<const util::ByteView> payloads, const std::uint32_t* positions,
                    const std::uint32_t* item, std::uint32_t n, std::uint32_t* entry_begin,
-                   std::uint32_t* entry_end, std::uint32_t* window4, Emit&& emit) const {
+                   std::uint32_t* entry_end, std::uint32_t* window4, Emit&& emit,
+                   Open&& open) const {
     // Pass A: window hashes; bucket ids park in entry_end until pass B.
     for (std::uint32_t k = 0; k < n; ++k) {
       const util::ByteView d = payloads[item[k]];
@@ -162,7 +168,8 @@ class LongTable {
     for (std::uint32_t k = 0; k < n; ++k) {
       if (entry_begin[k] == entry_end[k]) continue;
       verify_entries(payloads[item[k]], positions[k], window4[k], entry_begin[k],
-                     entry_end[k], [&](const Match& m) { emit(item[k], m); });
+                     entry_end[k], [&](const Match& m) { emit(item[k], m); },
+                     [&](std::size_t p) { open(item[k], p); });
     }
   }
 
@@ -181,18 +188,26 @@ class LongTable {
     bool nocase = false;
   };
 
-  template <class Emit>
+  // The prefix (4 bytes) already matched exactly when entry.prefix equals
+  // the window; the rest is compared in the entry's case mode.  A pattern
+  // longer than the remaining data is compared up to the end of the data,
+  // and an equal stretch reports pos as open.
+  template <class Emit, class Open>
   void verify_entries(util::ByteView data, std::size_t pos, std::uint32_t window,
-                      std::uint32_t begin, std::uint32_t end, Emit&& emit) const {
+                      std::uint32_t begin, std::uint32_t end, Emit&& emit,
+                      Open&& open) const {
     const std::size_t remaining = data.size() - pos;
     for (std::uint32_t e = begin; e < end; ++e) {
       const Entry& entry = entries_[e];
-      if (entry.prefix != window || entry.len > remaining) continue;
-      // Prefix (4 bytes) already matched exactly; compare the remainder with
-      // the entry's case mode.
+      if (entry.prefix != window) continue;
+      const bool cut = entry.len > remaining;
       if (util::bytes_equal(data.data() + pos + 4, arena_.at(entry.offset) + 4,
-                            entry.len - 4, entry.nocase)) {
-        emit(Match{entry.id, pos});
+                            (cut ? remaining : entry.len) - 4, entry.nocase)) {
+        if (cut) {
+          open(pos);
+        } else {
+          emit(Match{entry.id, pos});
+        }
       }
     }
   }

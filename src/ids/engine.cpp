@@ -226,7 +226,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     // per flush rather than per match.
     const RuleGroup& rg = db_->group(group);
     struct BatchToAlert final : BatchSink {
-      const IdsEngine* self = nullptr;
+      IdsEngine* self = nullptr;
       std::vector<Alert>* out = nullptr;
       const std::uint32_t* to_master = nullptr;
       std::uint64_t generation = 0;
@@ -241,6 +241,10 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
         out->push_back(
             Alert{s.flow_id, to_master[m.pattern_id], s.base + m.pos, group, generation});
       }
+      void on_open(std::uint32_t packet, std::uint64_t pos) override {
+        Staged& s = self->pending_[to_staged[packet]];
+        s.first_open = std::min<std::size_t>(s.first_open, pos);
+      }
     } sink;
     sink.self = this;
     sink.out = &alerts_;
@@ -249,6 +253,13 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     sink.to_staged = engaged ? g.passed_staged.data() : g.staged_index.data();
     sink.group = group;
 
+    // A view the prefilter rejected keeps first_open = 0: no pattern
+    // completes in it, but a prefix may still be open at its end.
+    if (rg.matcher->reports_open()) {
+      for (std::size_t i = 0; i < scan_views.size(); ++i) {
+        pending_[sink.to_staged[i]].first_open = scan_views[i].size();
+      }
+    }
     alerts_.clear();
     if (!scan_views.empty()) {
       rg.matcher->scan_batch(scan_views, sink, scratch_[gi]);
@@ -271,7 +282,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
   }
 
   for (Staged& s : pending_) {
-    s.flow->scanner.commit();
+    s.flow->scanner.commit(s.first_open);
     counters_.bytes_inspected += s.view.size() - s.carry;  // the chunk's bytes
     ++counters_.chunks;
   }

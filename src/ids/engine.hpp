@@ -152,6 +152,9 @@ class IdsEngine {
   // One staged chunk awaiting flush_batch().  `view` points into the flow
   // scanner's stream buffer (stable until commit); `flow` stays valid across
   // rehash (FlowTable values live on their own heap cells and do not move).
+  // `first_open` is what commit() gets: the earliest open prefix the scan
+  // reported, and 0 (keep the full carry) until a scan that reports opens
+  // covers the view.
   struct Staged {
     FlowState* flow = nullptr;
     std::uint64_t flow_id = 0;
@@ -159,6 +162,7 @@ class IdsEngine {
     util::ByteView view;
     std::size_t carry = 0;
     std::uint64_t base = 0;
+    std::size_t first_open = 0;
   };
 
   static constexpr std::size_t kGroups = static_cast<std::size_t>(pattern::Group::count);

@@ -1,10 +1,18 @@
 // Streaming scan over a flow's reassembled byte stream.
 //
 // NIDS payloads arrive in chunks; a pattern may straddle a chunk boundary.
-// StreamScanner keeps the last (max_pattern_len - 1) bytes of the previous
-// data as carry, scans carry+chunk, and reports each match exactly once with
-// absolute stream offsets: a match that ends inside the carry region was
-// already reported by the previous feed and is suppressed.
+// StreamScanner keeps a carry — a suffix of the previous view — scans
+// carry+chunk, and reports each match exactly once with absolute stream
+// offsets: a match that ends inside the carry region was already reported
+// by the previous feed and is suppressed.
+//
+// The carry holds every occurrence the view's end may have cut off.  An
+// engine that reports open prefixes (Matcher::reports_open) names each
+// position where a >= 4-byte pattern runs off the end of the view, so the
+// carry starts at the earliest such position, or keeps just the last 3
+// bytes (the starts of 1..3-byte patterns, and windows too short to hash)
+// when none is open.  Other engines, and views the caller did not scan,
+// keep the last (max_pattern_len - 1) bytes.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +44,13 @@ class StreamScanner {
   // rebasing surviving positions by staged_base(); commit() consumes the
   // chunk and retains the next carry.  At most one chunk may be staged at a
   // time; feed() must not run while a chunk is staged.
+  //
+  // `first_open` is the earliest open position the scan of the view
+  // reported, or the view's size when the scan reported none.  Pass 0 when
+  // the view was not scanned by an engine that reports opens: the carry is
+  // then the full max_pattern_len - 1 bytes.
   util::ByteView prepare(util::ByteView chunk);
-  void commit();
+  void commit(std::size_t first_open);
   bool staged() const { return staged_; }
   std::size_t staged_carry() const { return carry_at_stage_; }
   std::uint64_t staged_base() const { return consumed_ - carry_at_stage_; }

@@ -30,9 +30,21 @@ struct Match {
 // Receives matches during a scan.  Implementations must tolerate matches
 // arriving in engine-specific order (AC emits by end position; the filtering
 // engines by family then position).
+//
+// Open prefixes: an engine whose Matcher::reports_open() is true also calls
+// on_open(pos) for every position pos <= size - 4 of the scanned buffer
+// where a pattern longer than size - pos starts: the buffer's remaining
+// bytes equal the pattern's first size - pos bytes (in its case mode), so
+// the buffer's end cuts the occurrence off.  Positions in the last 3 bytes
+// are never reported.  A position may be reported more than once, in any
+// order relative to the matches.  Other engines may report some opens too;
+// only reports_open() promises all of them.  Stream scanners use the
+// earliest open position to bound the carry they re-scan
+// (ids::StreamScanner).
 class MatchSink {
  public:
   virtual void on_match(const Match& m) = 0;
+  virtual void on_open(std::uint64_t /*pos*/) {}
 
  protected:
   ~MatchSink() = default;
@@ -64,10 +76,12 @@ class CollectingSink final : public MatchSink {
 
 // Receives matches during a batch scan; `packet` is the index into the
 // payload span passed to Matcher::scan_batch, and Match::pos is relative to
-// that payload.  Matches never span payload boundaries.
+// that payload.  Matches never span payload boundaries.  on_open follows
+// MatchSink::on_open, per payload.
 class BatchSink {
  public:
   virtual void on_match(std::uint32_t packet, const Match& m) = 0;
+  virtual void on_open(std::uint32_t /*packet*/, std::uint64_t /*pos*/) {}
 
  protected:
   ~BatchSink() = default;
@@ -80,6 +94,7 @@ struct PacketSinkAdapter final : MatchSink {
   BatchSink* out = nullptr;
   std::uint32_t packet = 0;
   void on_match(const Match& m) override { out->on_match(packet, m); }
+  void on_open(std::uint64_t pos) override { out->on_open(packet, pos); }
 };
 
 // Process-unique owner tags for ScanScratch state.  Every Matcher draws one
@@ -161,6 +176,12 @@ class Matcher {
   }
 
   virtual std::string_view name() const = 0;
+
+  // True when scan() and scan_batch() report every open prefix through
+  // on_open (see MatchSink).  An engine may return true only if its round
+  // one passes every position where a >= 4-byte pattern's prefix occurs,
+  // whatever the pattern's length.
+  virtual bool reports_open() const { return false; }
 
   // Approximate heap footprint of the search structures, for the memory
   // comparisons (AC's automaton blow-up vs the filters' few KB).

@@ -244,6 +244,20 @@ TEST(AllocTest, SwapDatabaseBuildsNoMatcher) {
                                 << " allocations";
 }
 
+// Database::memory_bytes() reports what exists and builds nothing: the
+// lazily built whole-set engine (for S2 on compact AC, tens of MB the IDS
+// path never scans) counts only once engine() has built it.
+TEST(AllocTest, MemoryBytesBuildsNoEngine) {
+  const DatabasePtr db = vpm::compile(core::Algorithm::aho_corasick_compact,
+                                      pattern::generate_ruleset(pattern::s2_config()));
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t bytes = db->memory_bytes();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "memory_bytes made " << after - before << " allocations";
+  const std::size_t engine_bytes = db->engine().memory_bytes();
+  EXPECT_EQ(db->memory_bytes(), bytes + engine_bytes);
+}
+
 // A flush-batch delivery into the NDJSON sink — per-thread line buffer,
 // integer formatting, match-text escaping, flow lookup, one write, forward
 // — allocates nothing once the line buffer reached its high-water mark.
